@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +27,7 @@ from .tropical import (
     InvalidEps,
     TropicalComplex,
     project_onto_halfspaces,
+    tropical_constants,
 )
 
 
@@ -47,13 +45,6 @@ class CriticalPoint(ArithmeticError):
 
 class NoCrossing(RuntimeError):
     """No ray of the boundary scan met a sign change."""
-
-
-def _max_workers() -> int:
-    env = os.environ.get("TROPMIRROR_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +143,11 @@ class PatchworkFamily:
 
     phi_a is the smoothstep of the distance from Log z to the scaled
     component C_{a,t} = (log t) C_a; an inactive component (empty C_a)
-    contributes phi = 1 identically.
+    contributes phi = 1 identically.  The components come from the tropical
+    complex cx of the height function, which the family keeps as `complex`.
     """
 
-    def __init__(self, height: HeightFunction, t: float, s: float,
+    def __init__(self, cx: TropicalComplex, t: float, s: float,
                  eps: float = 0.1, coefficients: Sequence[complex] | None = None):
         if not (t > 1):
             raise ValueError("the scale t must exceed 1")
@@ -163,7 +155,9 @@ class PatchworkFamily:
             raise ValueError("the interpolation parameter s lives in [0, 1]")
         if not (eps > 0):
             raise InvalidEps(f"eps must be positive, got {eps}")
+        height = cx.height
         self.height = height
+        self.complex = cx
         self.t = float(t)
         self.s = float(s)
         self.eps = float(eps)
@@ -177,7 +171,6 @@ class PatchworkFamily:
         self.exponents = np.array(height.points, dtype=float)
         self.exponents_int = tuple(height.points)
         self.nu_log = np.array([float(v) for v in height.values]) * self.L
-        self.complex = TropicalComplex(height)
         self.component_planes = []
         for comp in self.complex.components:
             if not comp.active:
@@ -192,9 +185,8 @@ class PatchworkFamily:
 
     @classmethod
     def from_fan(cls, fan: Fan, phi, t: float, s: float, eps: float = 0.1):
-        h = HeightFunction.from_bundle(fan, phi)
-        coeffs = [-1.0] + [1.0] * len(fan.rays)
-        return cls(h, t, s, eps, coeffs)
+        cx = TropicalComplex(HeightFunction.from_bundle(fan, phi))
+        return cls(cx, t, s, eps, [-1.0] + [1.0] * len(fan.rays))
 
     @property
     def n(self) -> int:
@@ -380,8 +372,7 @@ def _newton_polish(F: PatchworkFamily, axis: int, u_fix: float, th_fix: float,
     Works entirely in scaled quantities: with a = del_hat e^{-i theta} and
     b = delbar_hat e^{+i theta} (components of the free variable), the
     displacement dz = |z| w obeys dF/e^{mstar} = a w + b conj(w), a
-    well-conditioned 2x2 real system.  The family is read-only throughout
-    (fibers run concurrently).
+    well-conditioned 2x2 real system.  The family is read-only throughout.
     """
     if s_target > 0.0:
         for s_now in np.linspace(0.0, s_target, steps + 1)[1:]:
@@ -449,8 +440,8 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
 
     s = 0 fibers are solved by clearing denominators (companion matrix /
     stable quadratic); s > 0 by Newton continuation from those roots.
-    Fibers are independent work units; the merge is by grid order, so the
-    output is deterministic for fixed inputs.
+    Fibers are solved in grid order, so the output is deterministic for
+    fixed inputs.
     """
     if F.n != 2:
         raise ValueError("fiber sampling is implemented for n = 2")
@@ -462,59 +453,37 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     windows = ((float(u1_lo), float(u1_hi)), (float(u2_lo), float(u2_hi)))
     thetas = 2.0 * math.pi * np.arange(int(arg_grid)) / max(int(arg_grid), 1)
 
-    fibers = []
-    for axis in (0, 1):
-        lo, hi = windows[axis]
-        for u_fix in np.linspace(lo, hi, int(n_r)):
-            for th in thetas:
-                fibers.append((axis, float(u_fix), float(th)))
-
-    def solve_fiber(args):
-        axis, u_fix, th_fix = args
-        free = 1 - axis
-        lo, hi = windows[free]
-        pts, wits, ress = [], [], []
-        try:
-            coeffs, _ = _fiber_coefficients(F, axis, u_fix, th_fix)
-            roots = _roots_low_to_high(coeffs)
-        except FiberDegenerate:
-            return None
-        for zf in roots:
-            if zf == 0 or not (np.isfinite(zf.real) and np.isfinite(zf.imag)):
-                continue
-            zfp = _newton_polish(F, axis, u_fix, th_fix, zf, F.s)
-            if zfp is None or zfp == 0:
-                continue
-            uf = math.log(abs(zfp))
-            if not (lo <= uf <= hi):
-                continue
-            u, theta = _fiber_point(axis, u_fix, th_fix, zfp)
-            mstar, val, _, _ = F.eval_scaled(u, theta)
-            residual = math.exp(mstar) * abs(val)
-            if not math.isfinite(residual) or residual > 1e-8:
-                continue
-            pts.append((u[0], u[1]))
-            wits.append((tuple(u), tuple(theta)))
-            ress.append(residual)
-        return pts, wits, ress
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_fiber, fibers))
-    else:
-        results = [solve_fiber(f) for f in fibers]
-
     points, witnesses, residuals = [], [], []
     degenerate = 0
-    for res in results:
-        if res is None:
-            degenerate += 1
-            continue
-        pts, wits, ress = res
-        points.extend(pts)
-        witnesses.extend(wits)
-        residuals.extend(ress)
+    for axis in (0, 1):
+        lo, hi = windows[1 - axis]
+        for u_fix in np.linspace(*windows[axis], int(n_r)):
+            u_fix = float(u_fix)
+            for th_fix in thetas:
+                th_fix = float(th_fix)
+                try:
+                    coeffs, _ = _fiber_coefficients(F, axis, u_fix, th_fix)
+                    roots = _roots_low_to_high(coeffs)
+                except FiberDegenerate:
+                    degenerate += 1
+                    continue
+                for zf in roots:
+                    if zf == 0 or not (np.isfinite(zf.real) and np.isfinite(zf.imag)):
+                        continue
+                    zfp = _newton_polish(F, axis, u_fix, th_fix, zf, F.s)
+                    if zfp is None or zfp == 0:
+                        continue
+                    uf = math.log(abs(zfp))
+                    if not (lo <= uf <= hi):
+                        continue
+                    u, theta = _fiber_point(axis, u_fix, th_fix, zfp)
+                    mstar, val, _, _ = F.eval_scaled(u, theta)
+                    residual = math.exp(mstar) * abs(val)
+                    if not math.isfinite(residual) or residual > 1e-8:
+                        continue
+                    points.append((u[0], u[1]))
+                    witnesses.append((tuple(u), tuple(theta)))
+                    residuals.append(residual)
     arr = np.array(points) if points else np.zeros((0, 2))
     return SampleResult(arr, degenerate, witnesses, np.array(residuals))
 
@@ -555,10 +524,8 @@ def exponential_decay_check(F: PatchworkFamily, samples: int,
     |t^{-nu(a)} z^a| / |t^{-nu(b)} z^b| < exp(-c eps log t |a-b|_2).
     Points where phi_alpha(p) = 0 are vacuous and skipped.
     """
-    from .tropical import tropical_constants
-
     if constants is None:
-        constants = tropical_constants(F.height)
+        constants = tropical_constants(F.complex)
     c = constants.c_est
     rng = np.random.default_rng(seed)
     verts = [np.array([float(x) for x in v]) for v, _ in F.complex.vertices()]

@@ -10,14 +10,13 @@ All figures and tables are emitted artifacts (no interactive mode), and the
 emission is deterministic: rationals are serialized as "p/q" strings
 end-to-end, floats in shortest round-trip decimal, JSON with sorted keys,
 and nothing writes a timestamp, so identical configuration + seed gives
-byte-identical output files.  The orchestrator itself is single threaded;
-the sampling it delegates to parallelizes internally (capped by the
-TROPMIRROR_THREADS environment variable).
+byte-identical output files.  Everything runs on a single thread.
 
 Exit codes: 0 success, 1 malformed input or invalid parameters, 2 domain
 error (non-convex support function, unbounded/degenerate polytope), 3
 amoeba commands on a fan whose lattice rank is not 2, 4 isomorphism
-mismatch from the verification pipeline.
+mismatch from the verification pipeline, 5 internal error (any other
+exception, reported as "internal error in <command>: <type>: <message>").
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,13 +48,17 @@ from .lattice import (
     NotConvex,
     Polytope,
     Unbounded,
+    UnsupportedDimension,
+    frac_str,
     polytope_from_bundle,
-    support_convexity,
+    require_convex,
 )
 from .tropical import (
+    DegenerateSupport,
     EmptyWindow,
     HeightFunction,
     InvalidEps,
+    NotTriangulation,
     TropicalComplex,
     choose_scale,
     complex_segments,
@@ -68,6 +72,7 @@ EXIT_MALFORMED = 1
 EXIT_DOMAIN = 2
 EXIT_DIMENSION = 3
 EXIT_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +125,28 @@ def _parse_window(text: str) -> tuple:
 # input / output plumbing
 # ---------------------------------------------------------------------------
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def load_fan_json(path: str) -> tuple[Fan, list[Fraction]]:
-    """Read {"rays": [[int,..]], "max_cones": [[int,..]], "phi": ["p/q",..]}."""
+    """Read {"rays": [[int,..]], "max_cones": [[int,..]], "phi": ["p/q",..]}.
+
+    Every defect of the file's content is reported as MalformedFan.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise MalformedFan(f"fan file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise MalformedFan("fan file must contain a JSON object")
     for key in ("rays", "max_cones", "phi"):
         if key not in data:
             raise MalformedFan(f"fan file is missing the {key!r} key")
-    rays = tuple(tuple(int(x) for x in r) for r in data["rays"])
-    cones = tuple(tuple(int(i) for i in c) for c in data["max_cones"])
+    try:
+        rays = tuple(tuple(int(x) for x in r) for r in data["rays"])
+        cones = tuple(tuple(int(i) for i in c) for c in data["max_cones"])
+        phi = [Fraction(str(v)) for v in data["phi"]]
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise MalformedFan(f"fan file has a malformed entry: {e}") from e
     fan = Fan(rays, cones)
-    phi = [Fraction(str(v)) for v in data["phi"]]
     if len(phi) != len(fan.rays):
         raise MalformedFan("phi must assign one value per ray")
     return fan, phi
@@ -154,9 +164,9 @@ def _write_json(path: str, payload) -> None:
 def _polytope_json(Q: Polytope) -> dict:
     return {
         "hrep": [
-            {"normal": list(a), "bound": _frac_str(b)} for a, b in Q.halfspaces
+            {"normal": list(a), "bound": frac_str(b)} for a, b in Q.halfspaces
         ],
-        "vertices": [[_frac_str(x) for x in v] for v in Q.vertices],
+        "vertices": [[frac_str(x) for x in v] for v in Q.vertices],
     }
 
 
@@ -166,23 +176,17 @@ def _polytope_json(Q: Polytope) -> dict:
 
 def cmd_subdivide(config: JobConfig) -> int:
     fan, phi = load_fan_json(config.input)
-    kind, witness = support_convexity(fan, phi)
-    if kind == "nonconvex":
-        print(
-            f"support function not convex across cone pair {witness[0]} and {witness[1]}",
-            file=sys.stderr,
-        )
-        return EXIT_DOMAIN
+    kind = require_convex(fan, phi)
     h = HeightFunction.from_bundle(fan, phi)
     sub = regular_subdivision(h)
     payload = {
         "points": [list(p) for p in h.points],
-        "heights": [_frac_str(v) for v in h.values],
+        "heights": [frac_str(v) for v in h.values],
         "cells": [
             {
                 "indices": list(c.indices),
-                "gradient": [_frac_str(g) for g in c.gradient],
-                "offset": _frac_str(c.offset),
+                "gradient": [frac_str(g) for g in c.gradient],
+                "offset": frac_str(c.offset),
             }
             for c in sub.cells
         ],
@@ -196,14 +200,14 @@ def cmd_subdivide(config: JobConfig) -> int:
 
 
 def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
-    consts = tropical_constants(cx.height, seed=config.seed)
+    consts = tropical_constants(cx, seed=config.seed)
     t_star = choose_scale(consts, config.eps)
     Q = cx.moment_polytope()
     return {
         "n": cx.n,
         "support": {
             "points": [list(p) for p in cx.height.points],
-            "heights": [_frac_str(v) for v in cx.height.values],
+            "heights": [frac_str(v) for v in cx.height.values],
         },
         "subdivision": {
             "cells": [list(c.indices) for c in cx.subdivision.cells],
@@ -214,8 +218,8 @@ def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
             {
                 "dim": f.dim,
                 "dual": list(f.dual_indices),
-                "equalities": [[list(a), _frac_str(r)] for a, r in f.equalities],
-                "inequalities": [[list(a), _frac_str(r)] for a, r in f.inequalities],
+                "equalities": [[list(a), frac_str(r)] for a, r in f.equalities],
+                "inequalities": [[list(a), frac_str(r)] for a, r in f.inequalities],
             }
             for f in cx.faces
         ],
@@ -224,7 +228,7 @@ def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
             for c in cx.components
         ],
         "vertices": [
-            {"point": [_frac_str(x) for x in v], "dual": list(dual)}
+            {"point": [frac_str(x) for x in v], "dual": list(dual)}
             for v, dual in cx.vertices()
         ],
         "moment_polytope": _polytope_json(Q) if Q is not None else None,
@@ -241,6 +245,7 @@ def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
 
 def cmd_tropical(config: JobConfig) -> int:
     fan, phi = load_fan_json(config.input)
+    require_convex(fan, phi)
     h = HeightFunction.from_bundle(fan, phi)
     cx = TropicalComplex(h)
     _write_json(os.path.join(config.out, "tropical.json"), _complex_json(cx, config))
@@ -308,10 +313,15 @@ def cmd_amoeba(config: JobConfig) -> int:
     if fan.n != 2:
         print(f"amoeba sampling needs a rank-2 fan, got rank {fan.n}", file=sys.stderr)
         return EXIT_DIMENSION
-    h = HeightFunction.from_bundle(fan, phi)
-    consts = tropical_constants(h, seed=config.seed)
-    t = config.t if config.t is not None else choose_scale(consts, config.eps)
-    F = PatchworkFamily.from_fan(fan, phi, t=t, s=config.s, eps=config.eps)
+    require_convex(fan, phi)
+    cx = TropicalComplex(HeightFunction.from_bundle(fan, phi))
+    if config.t is not None:
+        t = config.t
+    else:
+        t = choose_scale(tropical_constants(cx, seed=config.seed), config.eps)
+    # the mirror potential's coefficients: -1 at the origin, +1 at every ray
+    F = PatchworkFamily(cx, t=t, s=config.s, eps=config.eps,
+                        coefficients=[-1.0] + [1.0] * len(fan.rays))
     L = F.L
     x0, x1, y0, y1 = config.window
     arg_count = max(4, config.grid // 3)
@@ -335,7 +345,7 @@ def cmd_amoeba(config: JobConfig) -> int:
     _write_text(os.path.join(config.out, "margins.csv"), "\n".join(hist_lines) + "\n")
 
     rescaled = res.points / L if len(res.points) else res.points
-    dist = hausdorff_distance(rescaled, F.complex, config.window)
+    dist = hausdorff_distance(rescaled, cx, config.window)
     report = {
         "t": t,
         "log_t": L,
@@ -354,13 +364,13 @@ def cmd_amoeba(config: JobConfig) -> int:
     }
     _write_json(os.path.join(config.out, "hausdorff.json"), report)
 
-    segments = complex_segments(F.complex, config.window)
+    segments = complex_segments(cx, config.window)
     _svg_overlay(
         os.path.join(config.out, "overlay.svg"),
         config.window,
         segments,
         rescaled,
-        F.complex.moment_polytope(),
+        cx.moment_polytope(),
     )
     print(f"{len(res.points)} points, hausdorff {dist:.4f} at log t = {L:.3f}")
     return EXIT_OK
@@ -420,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropmirror",
         description="Tropical localization and mirror-map verification toolkit.",
-        epilog="The TROPMIRROR_THREADS environment variable caps sampler parallelism.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
@@ -467,18 +476,23 @@ def main(argv=None) -> int:
     )
     try:
         config.validate()
-        os.makedirs(config.out, exist_ok=True)
-        return _COMMANDS[config.command](config)
-    except NotConvex as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (Unbounded, LowerDimensional) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (MalformedFan, InvalidEps, EmptyWindow, ValueError, KeyError, TypeError,
-            OSError, json.JSONDecodeError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED
+    try:
+        os.makedirs(config.out, exist_ok=True)
+        return _COMMANDS[config.command](config)
+    except (NotConvex, Unbounded, LowerDimensional) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (MalformedFan, InvalidEps, EmptyWindow, DegenerateSupport, NotTriangulation,
+            UnsupportedDimension, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except Exception as e:
+        print(f"internal error in {config.command}: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import Polytope, interior_lattice_points, lattice_points, vec
+from .lattice import Polytope, frac_str, interior_lattice_points, lattice_points, vec
 
 log = logging.getLogger(__name__)
 
@@ -206,13 +206,9 @@ class GradedAlgebra:
 
     def json_basis(self) -> dict:
         return {
-            str(j): [[_frac_str(x) for x in g.point] for g in piece.basis]
+            str(j): [[frac_str(x) for x in g.point] for g in piece.basis]
             for j, piece in enumerate(self.pieces)
         }
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def assemble_algebra(Q: Polytope, J: int) -> GradedAlgebra:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor, gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -33,6 +34,10 @@ class LowerDimensional(ValueError):
     """Operation needs a full-dimensional polytope but got a degenerate one."""
 
 
+class UnsupportedDimension(ValueError):
+    """An algorithm bounded to dimension <= 3 met a higher-dimensional input."""
+
+
 Vec = tuple[Fraction, ...]
 
 
@@ -49,113 +54,83 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra (Gaussian elimination over Q)
+# small exact linear algebra: one rational row reduction, thin readers
 # ---------------------------------------------------------------------------
 
-def mat_det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a small square matrix, exact."""
+def _rref(
+    rows: Sequence[Sequence], ncols: int
+) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form over Q, pivoting in the first ncols columns.
+
+    Columns past ncols (an augmented right-hand side) are carried along.
+    Returns the reduced rows, the pivot columns, and the product of the
+    pivots times the sign of the row swaps, which for a square nonsingular
+    matrix is its determinant.
+    """
     m = [list(map(_frac, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant needs a square matrix")
+    pivots: list[int] = []
     det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def mat_rank(rows: Sequence[Sequence]) -> int:
-    m = [list(map(_frac, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
     for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
         piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            det = -det
+        p = m[row][col]
+        det *= p
+        m[row] = [x / p for x in m[row]]
         for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(ncols):
-                    m[r][c] -= f * m[row][c]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+            f = m[r][col]
+            if r != row and f != 0:
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+    return m, pivots, det
+
+
+def mat_det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a small square matrix, exact."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    _, pivots, det = _rref(rows, n)
+    return det if len(pivots) == n else Fraction(0)
+
+
+def mat_rank(rows: Sequence[Sequence]) -> int:
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def solve_square(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     """Solve M x = rhs exactly; None if M is singular."""
     n = len(rows)
-    m = [list(map(_frac, rows[i])) + [_frac(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        for c in range(col, n + 1):
-            m[col][c] *= inv
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return tuple(m[r][n] for r in range(n))
+    if any(len(r) != n for r in rows) or len(rhs) != n:
+        raise ValueError("solve_square needs a square matrix and a matching right-hand side")
+    m, pivots, _ = _rref([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(r[n] for r in m)
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
     """Basis of {x : M x = 0} over Q (possibly empty)."""
-    m = [list(map(_frac, r)) for r in rows]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(ncols):
-                    m[r][c] -= f * m[row][c]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots, _ = _rref(rows, ncols)
     basis = []
-    for fcol in free:
+    for fcol in (c for c in range(ncols) if c not in pivots):
         x = [Fraction(0)] * ncols
         x[fcol] = Fraction(1)
         for r, pcol in enumerate(pivots):
-            x[pcol] = -m[r][fcol] / m[r][pcol]
+            x[pcol] = -m[r][fcol]
         basis.append(tuple(x))
     return basis
 
 
 def primitive(v: Sequence) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    The sign is normalized so the first nonzero entry is positive only when
-    the caller asks for it via `primitive_signed`; here the direction is kept.
-    """
+    """Scale a nonzero rational vector to a primitive integer vector, keeping
+    its direction."""
     fr = [_frac(x) for x in v]
     if all(x == 0 for x in fr):
         raise ValueError("zero vector has no primitive representative")
@@ -169,11 +144,17 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def primitive_signed(v: Sequence) -> tuple[int, ...]:
-    """Primitive vector with lexicographically positive sign convention."""
-    p = primitive(v)
-    lead = next(x for x in p if x != 0)
-    return p if lead > 0 else tuple(-x for x in p)
+def primitive_row(a: Sequence, b) -> tuple[tuple[int, ...], Fraction]:
+    """Rescale the row <a, y> (=, <=) b by a positive factor so that the
+    normal becomes primitive(a); ValueError for a zero normal."""
+    p = primitive(a)
+    i = next(k for k, x in enumerate(p) if x != 0)
+    return p, _frac(b) * p[i] / _frac(a[i])
+
+
+def frac_str(x: Fraction) -> str:
+    """A rational as the "p/q" string used in every emitted file."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def affine_dim(points: Sequence[Sequence]) -> int:
@@ -278,22 +259,9 @@ class Polytope:
                 verts.add(sol)
         if not verts:
             raise ValueError("halfspace intersection is empty")
-        hs = _canonical_halfspaces(rows, bs)
+        hs = tuple(sorted({primitive_row(a, b) for a, b in zip(rows, bs) if any(a)}))
         d = affine_dim(sorted(verts))
         return Polytope(n, tuple(sorted(verts)), hs, d, degenerate=d < n)
-
-
-def _canonical_halfspaces(rows, bs):
-    out = set()
-    for a, b in zip(rows, bs):
-        if all(x == 0 for x in a):
-            continue
-        p = primitive(a)
-        scale = _frac(p[next(i for i, x in enumerate(p) if x != 0)]) / a[
-            next(i for i, x in enumerate(a) if x != 0)
-        ]
-        out.add((p, b * scale))
-    return tuple(sorted(out))
 
 
 def _recession_nontrivial(rows: list[Vec], n: int) -> bool:
@@ -329,7 +297,7 @@ def hull(points: Sequence[Sequence]) -> Polytope:
         raise ValueError("hull of an empty point set")
     n = len(pts[0])
     if n > 3:
-        raise ValueError("hull is only supported for n <= 3")
+        raise UnsupportedDimension("hull is only supported for n <= 3")
     d = affine_dim(pts)
     if d == 0:
         hs = []
@@ -356,23 +324,15 @@ def _hull_fulldim(pts: list[Vec], n: int) -> Polytope:
         b = dot(a, base)
         vals = [dot(a, p) - b for p in pts]
         if all(v <= 0 for v in vals):
-            facets.add((primitive(a), b * _prim_scale(a)))
+            facets.add(primitive_row(a, b))
         elif all(v >= 0 for v in vals):
-            na = tuple(-x for x in a)
-            facets.add((primitive(na), -b * _prim_scale(na)))
+            facets.add(primitive_row(tuple(-x for x in a), -b))
     verts = []
     for p in pts:
         tight = [a for a, b in facets if dot(a, p) == b]
         if mat_rank(tight) == n:
             verts.append(p)
     return Polytope(n, tuple(verts), tuple(sorted(facets)), n, degenerate=False)
-
-
-def _prim_scale(a: Vec) -> Fraction:
-    """Factor s with primitive(a) == s * a (s > 0)."""
-    p = primitive(a)
-    i = next(i for i, x in enumerate(p) if x != 0)
-    return _frac(p[i]) / _frac(a[i])
 
 
 def _hull_degenerate(pts: list[Vec], n: int, d: int) -> Polytope:
@@ -412,33 +372,19 @@ def _hull_degenerate(pts: list[Vec], n: int, d: int) -> Polytope:
         b = dot(pa, p0)
         hs.append((pa, b))
         hs.append((tuple(-x for x in pa), -b))
-    # facet inequalities pulled back through the coordinate chart:
-    # inner facet <c, lam> <= b  with  lam = Minv (p - p0)|cols
-    minv_rows = _inverse([[basis[j][c] for j in range(d)] for c in cols])
+    # facet inequalities pulled back through the coordinate chart: with
+    # lam = M^{-1} (p - p0)|cols, the inner facet <c, lam> <= b reads
+    # <y, (p - p0)|cols> <= b where y solves M^T y = c, and M^T is sq
     for c_in, b_in in inner.halfspaces:
-        # covector on ambient space: A_k = sum_j c_j * Minv[j][?]  via selected cols
+        y = solve_square(sq, c_in)
         amb = [Fraction(0)] * n
         for j in range(d):
-            coef = sum(_frac(c_in[i]) * minv_rows[i][j] for i in range(d))
-            amb[cols[j]] += coef
+            amb[cols[j]] = y[j]
         a_t = tuple(amb)
         if all(x == 0 for x in a_t):
             continue
-        bb = _frac(b_in) + dot(a_t, p0)
-        hs.append((primitive(a_t), bb * _prim_scale(a_t)))
+        hs.append(primitive_row(a_t, _frac(b_in) + dot(a_t, p0)))
     return Polytope(n, verts, tuple(sorted(set(hs))), d, degenerate=True)
-
-
-def _inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    n = len(rows)
-    out = []
-    for j in range(n):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        col = solve_square(rows, rhs)
-        assert col is not None
-        out.append(list(col))
-    # out holds columns; transpose into row-major inverse
-    return [[out[j][i] for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,45 +397,32 @@ def lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
     d=1 gives ordinary lattice points.  The scan is a bounding-box sweep
     with exact membership tests, so the order is deterministic.
     """
-    if d < 1:
-        raise ValueError("refinement d must be a positive integer")
-    box = poly.bounding_box()
-    ranges = [range(ceil(lo * d), floor(hi * d) + 1) for lo, hi in box]
-    out: list[Vec] = []
-    dd = Fraction(d)
-    for tup in itertools.product(*ranges):
-        # integer comparison <a, k> <= d*b avoids building Fractions in the hot loop
-        ok = True
-        for a, b in poly.halfspaces:
-            s = sum(ai * ki for ai, ki in zip(a, tup))
-            if s > b * d:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(Fraction(k) / dd for k in tup))
-    return out
+    return _lattice_scan(poly, d, strict=False)
 
 
 def interior_lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
     """Strictly interior points of the (1/d)-lattice; needs full dimension."""
     if poly.degenerate or poly.dim < poly.n:
         raise LowerDimensional("interior of a lower-dimensional polytope is empty")
+    return _lattice_scan(poly, d, strict=True)
+
+
+def _lattice_scan(poly: Polytope, d: int, strict: bool) -> list[Vec]:
+    """Bounding-box sweep of the (1/d)-lattice, boundary kept unless strict.
+
+    A point k/d satisfies <a, k/d> <= b iff the integer <a, k> is at most
+    floor(d b), and <a, k/d> < b iff it is at most ceil(d b) - 1, so each
+    halfspace becomes one integer limit before the sweep.
+    """
     if d < 1:
         raise ValueError("refinement d must be a positive integer")
-    box = poly.bounding_box()
-    ranges = [range(ceil(lo * d), floor(hi * d) + 1) for lo, hi in box]
-    out: list[Vec] = []
-    dd = Fraction(d)
-    for tup in itertools.product(*ranges):
-        ok = True
-        for a, b in poly.halfspaces:
-            s = sum(ai * ki for ai, ki in zip(a, tup))
-            if s >= b * d:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(Fraction(k) / dd for k in tup))
-    return out
+    limits = [(a, ceil(b * d) - 1 if strict else floor(b * d)) for a, b in poly.halfspaces]
+    ranges = [range(ceil(lo * d), floor(hi * d) + 1) for lo, hi in poly.bounding_box()]
+    return [
+        tuple(Fraction(k, d) for k in tup)
+        for tup in itertools.product(*ranges)
+        if all(sum(map(mul, a, tup)) <= lim for a, lim in limits)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +476,11 @@ class Fan:
 
         n=1: both half-lines present.  n=2: the maximal cones must be
         exactly the consecutive pairs of the cyclically ordered rays.
-        n=3: every ridge (shared ray pair spanning a 2-plane boundary of a
-        cone) must be shared by exactly two maximal cones.
+        n=3: a degree-one check.  Every ridge (ray pair of a cone) must be
+        shared by exactly two maximal cones lying on opposite sides of its
+        plane, so the cones wrap the sphere of directions with one
+        orientation; then the number of cones containing a direction off
+        every plane through two rays is the degree, which must be 1.
         """
         n = self.n
         if n == 1:
@@ -570,16 +506,42 @@ class Fan:
                     return False
             return True
         if n == 3:
-            from collections import Counter
-
-            ridges: Counter = Counter()
+            third: dict[tuple[int, int], list[int]] = {}  # ridge -> opposite rays
             for c in self.max_cones:
                 if len(c) != 3:
                     return False
-                for pair in itertools.combinations(c, 2):
-                    ridges[tuple(sorted(pair))] += 1
-            return bool(ridges) and all(v == 2 for v in ridges.values())
-        raise ValueError("completeness test implemented for n <= 3 only")
+                for k in c:
+                    third.setdefault(tuple(i for i in c if i != k), []).append(k)
+            for (i, j), ks in third.items():
+                if len(ks) != 2:
+                    return False
+                s1, s2 = (mat_det([self.rays[i], self.rays[j], self.rays[k]]) for k in ks)
+                if s1 * s2 >= 0:
+                    return False
+            w = _generic_direction(self.rays)
+            inside = 0
+            for c in self.max_cones:
+                lam = solve_square([[self.rays[i][k] for i in c] for k in range(3)], w)
+                inside += all(x > 0 for x in lam)
+            return inside == 1
+        raise UnsupportedDimension("completeness test implemented for n <= 3 only")
+
+
+def _generic_direction(rays) -> tuple[int, int, int]:
+    """First w = (1, k, k^2), k = 1, 2, ..., on no plane spanned by two rays.
+
+    Each plane's normal dotted with w is a nonzero polynomial of degree
+    at most 2 in k, so every plane rules out at most two values of k.
+    """
+    normals = []
+    for a, b in itertools.combinations(rays, 2):
+        nm = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        if any(nm):
+            normals.append(nm)
+    for k in itertools.count(1):
+        w = (1, k, k * k)
+        if all(sum(map(mul, nm, w)) != 0 for nm in normals):
+            return w
 
 
 def _ray_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -620,6 +582,8 @@ def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | N
     vals = [_frac(p) for p in phi]
     grads = []
     for c in fan.max_cones:
+        if len(c) != fan.n:
+            raise MalformedFan(f"maximal cone {c} does not have {fan.n} rays")
         m = solve_square(fan.cone_matrix(c), [vals[i] for i in c])
         if m is None:
             raise MalformedFan(f"cone {c} is degenerate (rays do not span)")
@@ -631,7 +595,9 @@ def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | N
             if ri in c:
                 continue
             val = dot(m, ray)
-            other = next(cj for cj, cc in enumerate(fan.max_cones) if ri in cc)
+            other = next((cj for cj, cc in enumerate(fan.max_cones) if ri in cc), None)
+            if other is None:
+                raise MalformedFan(f"ray {ri} lies in no maximal cone")
             if val > vals[ri]:
                 return "nonconvex", (ci, other)
             if val == vals[ri] and kind == "strict":
@@ -639,6 +605,17 @@ def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | N
                 kind = "weak"
                 witness = (ci, other)
     return kind, witness
+
+
+def require_convex(fan: Fan, phi: Sequence) -> str:
+    """support_convexity's verdict, "strict" or "weak"; NotConvex, naming the
+    offending cone pair, when phi is not even weakly convex."""
+    kind, witness = support_convexity(fan, phi)
+    if kind == "nonconvex":
+        raise NotConvex(
+            f"support function not convex across cone pair {witness[0]} and {witness[1]}"
+        )
+    return kind
 
 
 def polytope_from_bundle(fan: Fan, phi: Sequence) -> Polytope:
@@ -650,10 +627,6 @@ def polytope_from_bundle(fan: Fan, phi: Sequence) -> Polytope:
     """
     if not fan.is_complete():
         raise Unbounded("fan is not complete; moment polytope would be unbounded")
-    kind, witness = support_convexity(fan, phi)
-    if kind == "nonconvex":
-        raise NotConvex(
-            f"support function not convex across cone pair {witness[0]} and {witness[1]}"
-        )
+    require_convex(fan, phi)
     vals = [_frac(p) for p in phi]
     return Polytope.from_halfspaces(list(fan.rays), vals)

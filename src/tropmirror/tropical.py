@@ -21,16 +21,16 @@ import numpy as np
 
 from .lattice import (
     Fan,
-    NotConvex,
     Polytope,
     Vec,
     affine_dim,
     dot,
+    hull,
     mat_det,
     mat_rank,
-    primitive,
+    primitive_row,
+    require_convex,
     solve_square,
-    support_convexity,
     vec,
 )
 
@@ -111,15 +111,6 @@ class CoherentSubdivision:
     is_triangulation: bool
     is_maximal: bool
 
-    def adjacent_cell_pairs(self) -> list[tuple[int, int]]:
-        n = self.height.n
-        out = []
-        for i, j in itertools.combinations(range(len(self.cells)), 2):
-            common = sorted(set(self.cells[i].indices) & set(self.cells[j].indices))
-            if common and affine_dim([self.height.points[k] for k in common]) == n - 1:
-                out.append((i, j))
-        return out
-
     def edges(self) -> set[frozenset]:
         """1-faces of the subdivision as index pairs (triangulations only)."""
         if not self.is_triangulation:
@@ -179,11 +170,7 @@ def check_bundle_subdivision(fan: Fan, phi: Sequence) -> bool:
     Only cells containing the origin are compared; cells away from 0 are
     free to differ.  Raises NotConvex for a genuinely non-convex phi.
     """
-    kind, witness = support_convexity(fan, phi)
-    if kind == "nonconvex":
-        raise NotConvex(
-            f"support function not convex across cone pair {witness[0]} and {witness[1]}"
-        )
+    require_convex(fan, phi)
     h = HeightFunction.from_bundle(fan, phi)
     subd = regular_subdivision(h)
     zero = 0  # from_bundle puts the origin first
@@ -277,14 +264,14 @@ class TropicalComplex:
             for other in idx[1:]:
                 diff = tuple(A[other][k] - A[base][k] for k in range(n))
                 rhs = nu[other] - nu[base]
-                eqs.append(_scaled_row(diff, rhs))
+                eqs.append(primitive_row(diff, rhs))
             ineqs = []
             for g in range(len(A)):
                 if g in S:
                     continue
                 diff = tuple(A[g][k] - A[base][k] for k in range(n))
                 rhs = nu[g] - nu[base]
-                ineqs.append(_scaled_row(diff, rhs))
+                ineqs.append(primitive_row(diff, rhs))
             faces.append(
                 TropicalFace(n - m, idx, tuple(sorted(set(eqs))), tuple(sorted(set(ineqs))))
             )
@@ -302,7 +289,7 @@ class TropicalComplex:
                     continue
                 diff = tuple(A[j][k] - A[i][k] for k in range(n))
                 rhs = nu[j] - nu[i]
-                normals_j, rhs_j = _scaled_row(diff, rhs)
+                normals_j, rhs_j = primitive_row(diff, rhs)
                 normals.append(normals_j)
                 bounds.append(rhs_j)
             comps.append(Component(i, A[i], tuple(normals), tuple(bounds), i in active))
@@ -338,22 +325,9 @@ class TropicalComplex:
         comp = self.components[zi]
         return Polytope.from_halfspaces(list(comp.normals), list(comp.bounds))
 
-    def legendre(self, u: Sequence):
-        return legendre_value(self.height, u)
-
 
 def tropical_complex(h: HeightFunction) -> TropicalComplex:
     return TropicalComplex(h)
-
-
-def _scaled_row(normal: tuple, rhs: Fraction) -> tuple[tuple[int, ...], Fraction]:
-    """Scale <normal, u> (=/<=) rhs so the normal is primitive integer."""
-    if all(x == 0 for x in normal):
-        raise ValueError("repeated support point produced a zero row")
-    p = primitive(normal)
-    i = next(k for k, x in enumerate(p) if x != 0)
-    s = Fraction(p[i], normal[i])
-    return p, rhs * s
 
 
 def _cell_proper_faces(indices: Sequence[int], A) -> set[frozenset]:
@@ -361,8 +335,6 @@ def _cell_proper_faces(indices: Sequence[int], A) -> set[frozenset]:
 
     Tie sets are saturated: a face carries every support point lying on it.
     """
-    from .lattice import hull
-
     out: set[frozenset] = set()
     stack = [tuple(indices)]
     seen: set[frozenset] = set()
@@ -477,7 +449,8 @@ def project_onto_halfspaces(x0, normals, bounds, iters: int = 50, tol: float = 1
     return x
 
 
-def tropical_constants(h: HeightFunction, samples: int = 256, seed: int = 0) -> TropicalConstants:
+def tropical_constants(cx: TropicalComplex, samples: int = 256,
+                       seed: int = 0) -> TropicalConstants:
     """Norm bound N, distortion bound rho, and the sampled separation c_est.
 
     N is the maximum l1 norm over subdivision edge differences and over the
@@ -486,8 +459,10 @@ def tropical_constants(h: HeightFunction, samples: int = 256, seed: int = 0) -> 
     half the smallest sampled ratio d(p, H(alpha,beta)) / d(p, C_alpha)
     over points p in C_beta at offset eps' = 1e-3 * diameter from C_alpha;
     halving keeps the estimate on the safe side of the sampling error.
+    All of it is read from the complex cx and its subdivision.
     """
-    subd = regular_subdivision(h)
+    h = cx.height
+    subd = cx.subdivision
     if not subd.is_triangulation:
         raise NotTriangulation("constants are defined for triangulated supports")
     A = h.points
@@ -511,7 +486,6 @@ def tropical_constants(h: HeightFunction, samples: int = 256, seed: int = 0) -> 
             best = min(best, max(float(s[0]), float(1.0 / s[-1])))
         rho = max(rho, best)
 
-    cx = TropicalComplex(h)
     verts = [np.array([float(x) for x in v], dtype=float) for v, _ in cx.vertices()]
     if len(verts) >= 2:
         diam = max(

@@ -379,7 +379,7 @@ def test_criterion_07_amoeba_convergence():
 def test_criterion_08_symplectic_margins():
     eps = 0.1
     h = HeightFunction.from_bundle(P2_FAN, P2_PHI)
-    t_star = choose_scale(tropical_constants(h), eps)
+    t_star = choose_scale(tropical_constants(TropicalComplex(h)), eps)
     counts = {}
     worst = math.inf
     for s in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -3,7 +3,6 @@ amoeba sampling, margins, decay, lifts, and the boundary curve."""
 
 import cmath
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -187,7 +186,7 @@ def test_family_validation():
     with pytest.raises(InvalidEps):
         PatchworkFamily.from_fan(P2_FAN, P2_PHI, t=10.0, s=0.5, eps=0.0)
     with pytest.raises(ValueError):
-        PatchworkFamily(LINE_HEIGHT, t=10.0, s=0.0, coefficients=(1.0, 2.0))
+        PatchworkFamily(TropicalComplex(LINE_HEIGHT), t=10.0, s=0.0, coefficients=(1.0, 2.0))
 
 
 def test_eval_family_s_zero_is_holomorphic():
@@ -302,7 +301,7 @@ def test_sampler_never_contradicts_certificate():
 # ---------------------------------------------------------------------------
 
 def test_sampler_line_fiber_fixture():
-    F = PatchworkFamily(LINE_HEIGHT, t=math.e, s=0.0, coefficients=LINE_COEFFS)
+    F = PatchworkFamily(TropicalComplex(LINE_HEIGHT), t=math.e, s=0.0, coefficients=LINE_COEFFS)
     # z1 = 1 gives z2 = 0 (excluded); z1 = -1 gives z2 = 2
     res = amoeba_sample_curve(F, 2, ((0.0, 0.0, -1.0, 1.0), 1))
     assert res.points.shape == (1, 2)
@@ -317,7 +316,7 @@ def test_sampler_line_fiber_fixture():
 
 def test_sampler_tentacles():
     # the line amoeba has three tentacles: (-k, 0), (0, -k), (k, k)
-    F = PatchworkFamily(LINE_HEIGHT, t=math.e, s=0.0, coefficients=LINE_COEFFS)
+    F = PatchworkFamily(TropicalComplex(LINE_HEIGHT), t=math.e, s=0.0, coefficients=LINE_COEFFS)
     res = amoeba_sample_curve(F, 16, (-6.0, 6.0, 48))
     assert len(res.points) > 100
     for target in ((-5.0, 0.0), (0.0, -5.0), (5.0, 5.0)):
@@ -336,20 +335,10 @@ def test_sampler_residuals_and_determinism():
     assert res1.witnesses == res2.witnesses
 
 
-def test_sampler_single_thread_matches(monkeypatch):
-    F = p2_family(t=math.exp(4.0), s=0.0)
-    grid = ((-8.0, 5.0, -8.0, 5.0), 10)
-    base = amoeba_sample_curve(F, 4, grid)
-    monkeypatch.setenv("TROPMIRROR_THREADS", "1")
-    solo = amoeba_sample_curve(F, 4, grid)
-    assert np.array_equal(base.points, solo.points)
-    assert base.witnesses == solo.witnesses
-
-
 def test_sampler_degenerate_fibers_counted():
     # a family with all coefficients zero clears to the zero polynomial in
     # every fiber: each one is reported, none emits points
-    F = PatchworkFamily(LINE_HEIGHT, t=math.e, s=0.0,
+    F = PatchworkFamily(TropicalComplex(LINE_HEIGHT), t=math.e, s=0.0,
                         coefficients=(0.0, 0.0, 0.0))
     res = amoeba_sample_curve(F, 3, (-1.0, 1.0, 4))
     assert res.degenerate_fibers == 2 * 4 * 3
@@ -390,7 +379,7 @@ def test_margin_positive_at_s_zero():
 
 
 def test_margin_accepts_complex_witness():
-    F = PatchworkFamily(LINE_HEIGHT, t=math.e, s=0.0, coefficients=LINE_COEFFS)
+    F = PatchworkFamily(TropicalComplex(LINE_HEIGHT), t=math.e, s=0.0, coefficients=LINE_COEFFS)
     m = symplectic_margin(F, (-1.0 + 0j, 2.0 + 0j))
     # |df|_g at z = (-1, 2): unit-frame gradient is (z1, z2) = (-1, 2)
     assert abs(m - math.sqrt(5.0)) < 1e-12
@@ -400,7 +389,7 @@ def test_margin_df_bound_consistency():
     # |df|_g stays above |t^{-nu(delta)} z^delta| / (10 rho) at witnesses
     # sampled at the certified scale, delta the dominant exponent
     h = HeightFunction.from_bundle(P2_FAN, P2_PHI)
-    k = tropical_constants(h)
+    k = tropical_constants(TropicalComplex(h))
     t_star = choose_scale(k, 0.1)
     L = math.log(t_star)
     for s in (0.0, 0.5, 1.0):
@@ -414,7 +403,7 @@ def test_margin_df_bound_consistency():
 
 def test_margin_all_s_at_certified_scale():
     h = HeightFunction.from_bundle(P2_FAN, P2_PHI)
-    t_star = choose_scale(tropical_constants(h), 0.1)
+    t_star = choose_scale(tropical_constants(TropicalComplex(h)), 0.1)
     L = math.log(t_star)
     for s in (0.0, 0.25, 0.5, 0.75, 1.0):
         F = p2_family(t=t_star, s=s)
@@ -558,7 +547,7 @@ def test_boundary_sphere_s_one_runs():
 
 def test_boundary_sphere_no_crossing():
     # all-positive coefficients keep the real restriction positive forever
-    F = PatchworkFamily(LINE_HEIGHT, t=math.e, s=0.0,
+    F = PatchworkFamily(TropicalComplex(LINE_HEIGHT), t=math.e, s=0.0,
                         coefficients=(1.0, 1.0, 1.0))
     with pytest.raises(NoCrossing):
         boundary_sphere_sample(F, 8)

@@ -88,6 +88,46 @@ def test_malformed_inputs_exit1(tmp_path):
         assert main(["subdivide", "--input", fan, "--out", out]) == 1
 
 
+def test_input_errors_are_not_internal_errors(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    flat = dict(P1XP1, phi=["0", "0", "0", "0"])  # one square cell, no triangulation
+    p4_rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]]
+    p4 = {"rays": p4_rays, "max_cones": [[0, 1, 2, 3]], "phi": ["1"] * 5}
+    for command, broken in (
+        ("subdivide", {"rays": 5, "max_cones": [[0]], "phi": ["1"]}),  # not a list
+        ("subdivide", {"rays": [["x", 0]], "max_cones": [[0]], "phi": ["1"]}),
+        ("subdivide", {"rays": [[1, 0]], "max_cones": [[0]], "phi": ["1/0"]}),
+        ("tropical", {"rays": [[1, 0], [-1, 0]], "max_cones": [[0], [1]], "phi": ["1", "1"]}),
+        ("tropical", flat),
+        ("verify", p4),  # the completeness test stops at n = 3
+        ("tropical", dict(P2, max_cones=[[0], [1], [2]])),  # cones of one ray
+        ("amoeba", dict(P2, max_cones=[[0, 1]])),  # ray 2 lies in no cone
+    ):
+        fan = write_fan(tmp_path, broken, "broken.json")
+        assert main([command, "--input", fan, "--out", out]) == 1, (command, broken)
+        assert "internal error" not in capsys.readouterr().err
+
+
+def test_nonconvex_exit2_in_every_command(tmp_path, capsys):
+    fan = write_fan(tmp_path, NONCONVEX)
+    for command in ("subdivide", "tropical", "amoeba", "verify", "hilbert"):
+        assert main([command, "--input", fan, "--out", str(tmp_path / "o")]) == 2, command
+        assert "cone pair" in capsys.readouterr().err
+
+
+def test_internal_error_exit5(tmp_path, monkeypatch, capsys):
+    fan = write_fan(tmp_path, P2)
+
+    def broken_stage(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(cli, "section_ring", broken_stage)
+    assert main(["verify", "--input", fan, "--J", "1", "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert "internal error in verify: TypeError: injected" in err
+    assert "Traceback" in err  # the bug is reported with its origin
+
+
 def test_invalid_parameters_exit1(tmp_path):
     fan = write_fan(tmp_path, P2)
     out = str(tmp_path / "out")
@@ -148,6 +188,33 @@ def test_tropical_rationals_are_strings(tmp_path):
             int(num), int(den)
     for v in data["moment_polytope"]["vertices"]:
         assert all("/" in x for x in v)
+
+
+def test_one_complex_per_run(tmp_path, monkeypatch):
+    # a tropical job builds the complex once and derives the constants from
+    # it; an amoeba job with an explicit --t needs no constants at all
+    from tropmirror.tropical import TropicalComplex
+
+    calls = {"builds": 0, "constants": 0}
+    build, constants = TropicalComplex.__init__, cli.tropical_constants
+
+    def counted_build(self, *args, **kwargs):
+        calls["builds"] += 1
+        build(self, *args, **kwargs)
+
+    def counted_constants(*args, **kwargs):
+        calls["constants"] += 1
+        return constants(*args, **kwargs)
+
+    monkeypatch.setattr(TropicalComplex, "__init__", counted_build)
+    monkeypatch.setattr(cli, "tropical_constants", counted_constants)
+    fan = write_fan(tmp_path, P2)
+    assert main(["tropical", "--input", fan, "--out", str(tmp_path / "t")]) == 0
+    assert calls == {"builds": 1, "constants": 1}
+    calls.update(builds=0, constants=0)
+    args = amoeba_args(fan, str(tmp_path / "a"), math.exp(2.0)) + ["--s", "0"]
+    assert main(args) == 0
+    assert calls == {"builds": 1, "constants": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ barycentric membership); expected values below were computed with them and
 then frozen.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmirror.lattice import (
     Fan,
@@ -23,6 +26,7 @@ from tropmirror.lattice import (
     is_smooth,
     lattice_points,
     polytope_from_bundle,
+    solve_square,
     support_convexity,
 )
 
@@ -178,6 +182,29 @@ def test_unbounded_on_incomplete_fan():
         polytope_from_bundle(half, (1, 1))
 
 
+def _polar_fan(equator):
+    """Rays around the equator of R^3 plus both poles; the cones join each
+    consecutive equatorial pair (cyclically) to one pole."""
+    rays = tuple((x, y, 0) for x, y in equator) + ((0, 0, 1), (0, 0, -1))
+    k = len(equator)
+    cones = tuple((i, (i + 1) % k, pole) for pole in (k, k + 1) for i in range(k))
+    return Fan(rays, cones)
+
+
+def test_completeness_3d_needs_degree_one():
+    # every ridge lies on exactly two cones in all three fans below, so
+    # ridge counting alone calls each of them complete
+    assert _polar_fan(((1, 0), (0, 1), (-1, 0), (0, -1))).is_complete()
+    # equatorial winding number 0: the cones fold back and miss directions
+    folded = _polar_fan(((1, 0), (-1, 1), (-1, -1), (0, 1), (1, -2)))
+    assert not folded.is_complete()
+    with pytest.raises(Unbounded):
+        polytope_from_bundle(folded, (1,) * 7)
+    # winding number 2 (a pentagram): every ridge is oriented consistently,
+    # but each generic direction lies in two cones
+    assert not _polar_fan(((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))).is_complete()
+
+
 def test_nonconvex_support_named_pair():
     with pytest.raises(NotConvex) as ei:
         polytope_from_bundle(P2_FAN, (1, 1, -5))
@@ -311,7 +338,46 @@ def test_smoothness_invariance_relabel_and_unimodular():
             assert is_smooth(Fan(rays, fan.max_cones)) == base
 
 
+def test_solve_square_rejects_non_square_systems():
+    assert solve_square([[2, 1], [1, 1]], [3, 2]) == (F(1), F(1))
+    assert solve_square([[1, 2], [2, 4]], [1, 2]) is None
+    for rows, rhs in (([[1, 0]], [7]), ([[1, 0], [0, 1]], [1])):
+        with pytest.raises(ValueError):
+            solve_square(rows, rhs)
+
+
 def test_from_halfspaces_roundtrip():
     q = p2_triangle()
     again = Polytope.from_halfspaces([h[0] for h in q.halfspaces], [h[1] for h in q.halfspaces])
     assert again.same_set(q)
+
+
+# ---------------------------------------------------------------------------
+# the lattice enumerator against a brute-force scan
+# ---------------------------------------------------------------------------
+
+small_point_sets = st.integers(2, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_point_sets, st.sampled_from((F(1, 2), F(2, 3), F(1), F(3, 2))),
+       st.integers(1, 4))
+def test_enumerator_matches_brute_force(points, k, d):
+    # rational dilation factors give non-integral halfspace bounds d*b, so
+    # both the floor (boundary kept) and ceil - 1 (boundary dropped) limits
+    # are exercised
+    q = hull(points).dilate(k)
+    box = [
+        range(int(min(v[i] for v in q.vertices) * d) - 1,
+              int(max(v[i] for v in q.vertices) * d) + 2)
+        for i in range(q.n)
+    ]
+    refined = [tuple(F(x, d) for x in p) for p in itertools.product(*box)]
+    assert lattice_points(q, d) == [p for p in refined if q.contains(p)]
+    if q.degenerate:
+        with pytest.raises(LowerDimensional):
+            interior_lattice_points(q, d)
+    else:
+        assert interior_lattice_points(q, d) == [p for p in refined if q.contains_strictly(p)]

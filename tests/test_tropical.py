@@ -311,7 +311,7 @@ P2_LOG_T = 375.15283240640287  # frozen: smallest feasible log-scale at eps=0.1
 
 
 def test_p2_constants():
-    k = tropical_constants(p2_height())
+    k = tropical_constants(tropical_complex(p2_height()))
     assert k.N == 3
     assert abs(k.rho - GOLDEN) < 1e-9
     assert k.card_A == 4
@@ -331,7 +331,7 @@ def test_p2_constants():
 
 
 def test_interval_constants():
-    k = tropical_constants(HeightFunction(((0,), (1,)), (0, 0)))
+    k = tropical_constants(tropical_complex(HeightFunction(((0,), (1,)), (0, 0))))
     assert k.N == 1
     assert k.rho == 1.0
     assert abs(k.c_est - 0.5) < 1e-12
@@ -340,19 +340,19 @@ def test_interval_constants():
 def test_constants_need_a_triangulation():
     h = HeightFunction(((0, 0), (1, 0), (0, 1), (1, 1)), (0, 0, 0, 0))
     with pytest.raises(NotTriangulation):
-        tropical_constants(h)
+        tropical_constants(tropical_complex(h))
 
 
 def test_constants_invariance_under_affine_shifts():
     h = p2_height()
-    k = tropical_constants(h)
+    k = tropical_constants(tropical_complex(h))
     w = (2, -1)
     shifted_pts = tuple(tuple(p[i] + w[i] for i in range(2)) for p in h.points)
     # translate A and add an affine function to nu: combinatorics unchanged
     shifted_vals = tuple(
         v + 3 * p[0] - 2 * p[1] + 5 for p, v in zip(shifted_pts, h.values)
     )
-    k2 = tropical_constants(HeightFunction(shifted_pts, shifted_vals))
+    k2 = tropical_constants(tropical_complex(HeightFunction(shifted_pts, shifted_vals)))
     assert k2.N == k.N
     assert abs(k2.rho - k.rho) < 1e-12
     assert abs(k2.c_est - k.c_est) < 0.05 * k.c_est
@@ -369,7 +369,7 @@ def oracle_scale_ok(k, eps, L):
 
 
 def test_choose_scale_p2():
-    k = tropical_constants(p2_height())
+    k = tropical_constants(tropical_complex(p2_height()))
     t = choose_scale(k, 0.1)
     L = math.log(t)
     assert abs(L - P2_LOG_T) < 1e-4 * P2_LOG_T
@@ -380,7 +380,7 @@ def test_choose_scale_p2():
 
 
 def test_choose_scale_invalid_eps():
-    k = tropical_constants(p2_height())
+    k = tropical_constants(tropical_complex(p2_height()))
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(InvalidEps):
             choose_scale(k, bad)
