@@ -1,8 +1,9 @@
 """Tropical mirror toolkit.
 
-Exact lattice/tropical combinatorics on one side (fractions end to end),
-floating-point amoeba analysis on the other, and the multiplicative
-comparison between the two package halves on top.
+Exact lattice/tropical combinatorics on one side (fractions, with the
+Floer product tables in bounded integer arithmetic), floating-point amoeba
+analysis on the other, and the multiplicative comparison between the two
+package halves on top.
 """
 
 __version__ = "0.1.0"

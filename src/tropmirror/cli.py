@@ -140,13 +140,11 @@ def load_fan_json(path: str) -> tuple[Fan, list[Fraction]]:
     for key in ("rays", "max_cones", "phi"):
         if key not in data:
             raise MalformedFan(f"fan file is missing the {key!r} key")
+    fan = Fan(data["rays"], data["max_cones"])
     try:
-        rays = tuple(tuple(int(x) for x in r) for r in data["rays"])
-        cones = tuple(tuple(int(i) for i in c) for c in data["max_cones"])
         phi = [Fraction(str(v)) for v in data["phi"]]
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise MalformedFan(f"fan file has a malformed entry: {e}") from e
-    fan = Fan(rays, cones)
     if len(phi) != len(fan.rays):
         raise MalformedFan("phi must assign one value per ray")
     return fan, phi

@@ -3,17 +3,25 @@
 Generators are refined lattice points of Q (boundary included exactly when
 l1 < l2), triangles are decided by an ordering gate plus an exact membership
 rule for the affine target point, and the graded algebra of a polytope is
-assembled with all structure constants 0 or 1.  Everything here is exact
-rational arithmetic; nothing is ever rounded.
+assembled with all structure constants 0 or 1.  Nothing here is ever
+rounded: generators, `triangle_target`, `triangle_exists` and `cup_product`
+work in `Fraction`s, and `assemble_algebra` tabulates the ladder products
+and audits their associativity in exact int64 arithmetic on scaled
+generators j*(p - v0), with a bound check that raises before any value
+could wrap.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
+
+import numpy as np
 
 from .lattice import Polytope, frac_str, interior_lattice_points, lattice_points, vec
 
@@ -214,45 +222,103 @@ class GradedAlgebra:
 def assemble_algebra(Q: Polytope, J: int) -> GradedAlgebra:
     """Pieces HF0(L, L(j)) for 0 <= j <= J with all ladder products.
 
-    Every product (0,j,j+k) with j+k <= J is tabulated through cup_product;
-    associativity of the resulting tables is verified exhaustively (exact
-    arithmetic) before the algebra is returned.
+    Every product (0,j,j+k) with j+k <= J is tabulated by the integer kernel
+    `_ladder_tables`, which applies the same ordering gate and boundary
+    membership rule as `cup_product` to whole slices of scaled generators;
+    associativity of the resulting tables is verified exhaustively before
+    the algebra is returned.
     """
     if J < 1:
         raise ValueError("need at least one positive twist")
     pieces = tuple(floer_group(Q, 0, j) for j in range(J + 1))
-    index = [
-        {g.point: i for i, g in enumerate(piece.basis)} for piece in pieces
-    ]
-    products: dict = {}
-    for j in range(J + 1):
-        for k in range(J + 1 - j):
-            table = {}
-            for pi, x in enumerate(pieces[j].basis):
-                for qi, y in enumerate(pieces[k].basis):
-                    # reinterpret y as the equivariant generator of (j, j+k)
-                    y_shift = FloerGenerator(j, j + k, y.point, y.homological_degree)
-                    z = cup_product(x, y_shift, Q)
-                    if z is None:  # impossible: (j*p + k*q)/(j+k) is convex
-                        raise RuntimeError("ladder product vanished")
-                    table[(pi, qi)] = index[j + k][z.point]
-            products[(j, k)] = table
+    tables = _ladder_tables(Q, pieces, J)
+    _audit_associativity(tables, J)
+    products = {
+        key: dict(zip(itertools.product(*map(range, tab.shape)), tab.ravel().tolist()))
+        for key, tab in tables.items()
+    }
+    return GradedAlgebra(Q, J, pieces, products)
 
+
+def _ladder_tables(Q: Polytope, pieces: Sequence[FloerGroup], J: int) -> dict:
+    """tables[(j, k)][p_idx, q_idx] = r_idx in piece j+k, as int64 arrays.
+
+    A generator p of piece j >= 1 is carried as the integer vector
+    x = j*(p - v0), v0 the integer floor of the lower corner of Q's bounding
+    box, so every x is nonnegative and small however far Q sits from the
+    origin.  The triangle (0, j, j+k) has target r = (j p + k q)/(j+k), whose
+    scaled form is x + y: membership of r in Q is one integer halfspace test
+    against floor((j+k) b) for the bounds b of Q - v0, and its index is one
+    gather into a dense grid of piece j+k holding -1 where no generator sits.
+    A repeated twist (j = 0 or k = 0) is the identity action.
+    """
+    n = Q.n
+    v0 = tuple(floor(lo) for lo, _ in Q.bounding_box())
+    shifted = Q.translate(tuple(-v for v in v0))
+    extent = [ceil(hi) for _, hi in shifted.bounding_box()]
+    reach = max(
+        [J * sum(abs(c) * e for c, e in zip(a, extent)) for a, _ in shifted.halfspaces]
+        + [J * abs(b) + 1 for _, b in shifted.halfspaces]
+    )
+    if reach >= 2**63:  # every value formed below stays under reach, so int64 never wraps
+        raise OverflowError(
+            f"integer Floer kernel needs values up to {reach}, past the int64 range"
+        )
+    normals = np.array([a for a, _ in shifted.halfspaces], dtype=np.int64).reshape(-1, n)
+
+    scaled, grids = [None], [None]  # piece 0 only enters the unit slices
+    for j in range(1, J + 1):
+        x = np.array(
+            [[int((c - v) * j) for c, v in zip(g.point, v0)] for g in pieces[j].basis],
+            dtype=np.int64,
+        ).reshape(-1, n)
+        grid = np.full([j * e + 1 for e in extent], -1, dtype=np.int64)
+        grid[tuple(x.T)] = np.arange(len(x))
+        scaled.append(x)
+        grids.append(grid)
+
+    tables = {}
+    for m in range(J + 1):
+        limits = np.array([floor(m * b) for _, b in shifted.halfspaces], dtype=np.int64)
+        for j in range(m + 1):
+            k = m - j
+            if j == 0:
+                tables[(j, k)] = np.arange(pieces[k].dimension, dtype=np.int64)[None, :]
+                continue
+            if k == 0:
+                tables[(j, k)] = np.arange(pieces[j].dimension, dtype=np.int64)[:, None]
+                continue
+            targets = scaled[j][:, None, :] + scaled[k][None, :, :]
+            if not (_ordering_admits_triangle(0, j, m) and np.all(targets @ normals.T <= limits)):
+                # impossible for generators of Q: (j*p + k*q)/(j+k) is convex
+                raise RuntimeError("ladder product vanished")
+            idx = grids[m][tuple(np.moveaxis(targets, -1, 0))]
+            if np.any(idx < 0):
+                raise RuntimeError(f"ladder product ({j},{k}) hit no generator of piece {m}")
+            tables[(j, k)] = idx
+    return tables
+
+
+def _audit_associativity(tables: dict, J: int) -> None:
+    """(x_a x_b) x_c = x_a (x_b x_c) for every composable index triple.
+
+    One (a, b, c) slice at a time, both sides as gathers over the integer
+    tables; the first failure in (a, b, c, pi, qi, zi) loop order is named.
+    """
     for a in range(J + 1):
         for b in range(J + 1 - a):
             for c in range(J + 1 - a - b):
-                tab_ab, tab_bc = products[(a, b)], products[(b, c)]
-                tab_ab_c, tab_a_bc = products[(a + b, c)], products[(a, b + c)]
-                for pi in range(pieces[a].dimension):
-                    for qi in range(pieces[b].dimension):
-                        left = tab_ab[(pi, qi)]
-                        for zi in range(pieces[c].dimension):
-                            if tab_ab_c[(left, zi)] != tab_a_bc[(pi, tab_bc[(qi, zi)])]:
-                                raise AssociativityViolation(
-                                    f"associativity fails on twists ({a},{b},{c}) "
-                                    f"at indices ({pi},{qi},{zi})"
-                                )
-    return GradedAlgebra(Q, J, pieces, products)
+                ab, bc = tables[(a, b)], tables[(b, c)]
+                ab_c, a_bc = tables[(a + b, c)], tables[(a, b + c)]
+                left = ab_c[ab[:, :, None], np.arange(bc.shape[1])]
+                right = a_bc[np.arange(ab.shape[0])[:, None, None], bc]
+                bad = np.argwhere(left != right)
+                if len(bad):
+                    pi, qi, zi = bad[0].tolist()
+                    raise AssociativityViolation(
+                        f"associativity fails on twists ({a},{b},{c}) "
+                        f"at indices ({pi},{qi},{zi})"
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -437,8 +437,13 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
-        cones = tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
+        try:
+            rays = tuple(tuple(_exact_int(x, "ray coordinate") for x in r) for r in self.rays)
+            cones = tuple(
+                tuple(sorted(_exact_int(i, "cone index") for i in c)) for c in self.max_cones
+            )
+        except TypeError as e:  # a ray or cone list that is not a sequence
+            raise MalformedFan(f"rays and cones must be lists of integers: {e}") from e
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
         if not rays:
@@ -525,6 +530,17 @@ class Fan:
                 inside += all(x > 0 for x in lam)
             return inside == 1
         raise UnsupportedDimension("completeness test implemented for n <= 3 only")
+
+
+def _exact_int(x, what: str) -> int:
+    """x as an int; MalformedFan when int() would change its value (1.5, "1")."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise MalformedFan(f"{what} {x!r} is not an integer") from e
+    if i != x:
+        raise MalformedFan(f"{what} {x!r} is not an integer")
+    return i
 
 
 def _generic_direction(rays) -> tuple[int, int, int]:

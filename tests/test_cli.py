@@ -83,6 +83,7 @@ def test_malformed_inputs_exit1(tmp_path):
         {"rays": [[1, 0]], "max_cones": [[0]]},  # missing phi
         {"rays": [[2, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1]], "phi": ["1", "1", "1"]},
         {"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]], "phi": ["1"]},  # phi length
+        dict(P2, rays=[[1.5, 0], [0, 1], [-1, -1]]),  # int() would truncate 1.5 to 1
     ):
         fan = write_fan(tmp_path, broken, "broken.json")
         assert main(["subdivide", "--input", fan, "--out", out]) == 1

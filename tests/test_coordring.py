@@ -11,8 +11,10 @@ import logging
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tropmirror.lattice import Fan, hull, polytope_from_bundle
+from tropmirror.lattice import Fan, hull, is_smooth, polytope_from_bundle, support_convexity
 from tropmirror.floer import assemble_algebra, floer_group
 from tropmirror.coordring import (
     IsomorphismReport,
@@ -180,6 +182,40 @@ def test_isomorphism_invariant_under_translation_and_gl():
     fan = Fan(rays, P2_FAN.max_cones)
     Qg = polytope_from_bundle(fan, (1, 1, 1))
     assert verify_isomorphism(assemble_algebra(Qg, 2), section_ring(Qg, 2)).ok
+
+
+@st.composite
+def smooth_toric_surfaces(draw):
+    """A fan and support values from 0-2 toric blow-ups of P^2 or F_a, a <= 3.
+
+    Rays stay in counterclockwise order.  Blowing up the corner between
+    consecutive rays v_i, v_{i+1} inserts v_i + v_{i+1} with
+    phi = phi_i + phi_{i+1} - c: the cut c > 0 takes the corner off the
+    polygon, and c < phi_i + phi_{i+1} keeps the origin interior.  Cuts of
+    at most 2 keep most second blow-ups strictly convex.
+    """
+    a = draw(st.sampled_from((None, 0, 1, 2, 3)))  # None: P^2
+    rays = [(1, 0), (0, 1), (-1, -1)] if a is None else [(1, 0), (0, 1), (-1, a), (0, -1)]
+    phi = [draw(st.integers(1, 3)) for _ in rays]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rays) - 1))
+        nxt = (i + 1) % len(rays)
+        cut = draw(st.integers(1, min(2, phi[i] + phi[nxt] - 1)))
+        rays.insert(i + 1, (rays[i][0] + rays[nxt][0], rays[i][1] + rays[nxt][1]))
+        phi.insert(i + 1, phi[i] + phi[nxt] - cut)
+    r = len(rays)
+    return Fan(tuple(rays), tuple((i, (i + 1) % r) for i in range(r))), phi
+
+
+@settings(max_examples=50, deadline=None)
+@given(smooth_toric_surfaces())
+def test_smooth_surface_corpus_verifies(surface):
+    fan, phi = surface
+    assume(support_convexity(fan, phi)[0] == "strict")
+    assert is_smooth(fan) and fan.is_complete()
+    Q = polytope_from_bundle(fan, phi)
+    assert verify_isomorphism(assemble_algebra(Q, 3), section_ring(Q, 3)).ok
+    assert serre_check(Q, 3).ok
 
 
 def test_mismatched_truncations_rejected():

@@ -4,22 +4,27 @@ Oracle policy: expected dimensions come from an independent inequality-based
 lattice count (oracle_count below) written against the explicit H-rep of the
 fixture triangle, cross-checked by the closed-form quadratic count where one
 exists; product fixtures are evaluated by hand from the affine target
-formula.
+formula, and the integer product tables of assemble_algebra are checked
+entry by entry against the Fraction cup_product.
 """
 
 import logging
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from tropmirror.lattice import Fan, polytope_from_bundle
+from tropmirror.lattice import Fan, Polytope, polytope_from_bundle
 from tropmirror.floer import (
     AssociativityViolation,
     DegenerateTriple,
     FloerGenerator,
+    FloerGroup,
     TwistedSection,
+    _audit_associativity,
+    _ladder_tables,
     assemble_algebra,
     cup_product,
     dual_action_table,
@@ -31,6 +36,10 @@ from tropmirror.floer import (
 
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 P1_FAN = Fan(((1,), (-1,)), ((0,), (1,)))
+P1XP1_FAN = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+F1_FAN = Fan(((1, 0), (0, 1), (-1, 1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+P3_FAN = Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+             ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
 
 
 def p2_Q():
@@ -243,16 +252,90 @@ def test_algebra_products_match_affine_formula():
 
 
 def test_translation_equivariance():
-    alg = assemble_algebra(p2_Q(), 2)
-    with pytest.warns(UserWarning):  # origin leaves the interior; geometry still works
-        alg_t = assemble_algebra(p2_Q().translate((1, -1)), 2)
-    assert alg.products == alg_t.products
-    for j in range(1, 3):
-        moved = [tuple(x + w for x, w in zip(g.point, (1, -1)))
-                 for g in alg.pieces[j].basis]
-        assert moved == [g.point for g in alg_t.pieces[j].basis]
-    # the canonical unit is not a lattice point of 0*Q; it stays at the origin
-    assert alg_t.pieces[0].basis[0].point == (0, 0)
+    # far from the origin, j*p is about 4e18 at J = 4: the kernel's grids and
+    # bounds only stay small because generators are scaled from Q's corner
+    for shift, J in (((1, -1), 2), ((10**18, -10**18), 4)):
+        alg = assemble_algebra(p2_Q(), J)
+        with pytest.warns(UserWarning):  # origin leaves the interior; geometry still works
+            alg_t = assemble_algebra(p2_Q().translate(shift), J)
+        assert alg.products == alg_t.products
+        for j in range(1, J + 1):
+            moved = [tuple(x + w for x, w in zip(g.point, shift))
+                     for g in alg.pieces[j].basis]
+            assert moved == [g.point for g in alg_t.pieces[j].basis]
+        # the canonical unit is not a lattice point of 0*Q; it stays at the origin
+        assert alg_t.pieces[0].basis[0].point == (0, 0)
+
+
+def steep_Q(a):
+    """F_a cut to the strip |y| <= 1/a: few generators, but the facet normal
+    (-1, a) makes the kernel's halfspace values about 2a per twist."""
+    fan = Fan(((1, 0), (0, 1), (-1, a), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+    return polytope_from_bundle(fan, (1, Fraction(1, a), 1, Fraction(1, a)))
+
+
+def test_tables_match_cup_product_reference():
+    """Every table entry is the index of the Fraction cup product of its pair."""
+    cases = ((polytope_from_bundle(P1_FAN, (1, 1)), 4), (p2_Q(), 3),
+             (polytope_from_bundle(P1XP1_FAN, (1, 1, 1, 1)), 3),
+             (polytope_from_bundle(F1_FAN, (1, 1, 2, 1)), 3),
+             (polytope_from_bundle(P3_FAN, (1, 1, 1, 1)), 2),
+             (steep_Q(2**60), 3))  # halfspace values up to 3 * (3 + 2**61) < 2**63
+    for Q, J in cases:
+        alg = assemble_algebra(Q, J)
+        index = [{g.point: i for i, g in enumerate(p.basis)} for p in alg.pieces]
+        for (j, k), table in alg.products.items():
+            assert len(table) == alg.dimension(j) * alg.dimension(k)
+            for (pi, qi), ri in table.items():
+                x, y = alg.pieces[j].basis[pi], alg.pieces[k].basis[qi]
+                # y read as the equivariant generator of (j, j+k)
+                z = cup_product(x, FloerGenerator(j, j + k, y.point, y.homological_degree), Q)
+                assert ri == index[j + k][z.point]
+
+
+def test_kernel_raises_past_the_int64_range():
+    with pytest.raises(OverflowError):
+        assemble_algebra(steep_Q(2**62), 1)
+
+
+def test_audit_names_first_failing_triple():
+    Q, J = p2_Q(), 3
+    pieces = tuple(floer_group(Q, 0, j) for j in range(J + 1))
+    tables = _ladder_tables(Q, pieces, J)
+    _audit_associativity(tables, J)
+    tables[(1, 1)][0, 0] = (tables[(1, 1)][0, 0] + 1) % pieces[2].dimension
+
+    def first_violation():  # the scalar loop the audit replaces
+        for a in range(J + 1):
+            for b in range(J + 1 - a):
+                for c in range(J + 1 - a - b):
+                    ab, bc = tables[(a, b)], tables[(b, c)]
+                    ab_c, a_bc = tables[(a + b, c)], tables[(a, b + c)]
+                    for pi in range(pieces[a].dimension):
+                        for qi in range(pieces[b].dimension):
+                            for zi in range(pieces[c].dimension):
+                                if ab_c[ab[pi, qi], zi] != a_bc[pi, bc[qi, zi]]:
+                                    return (a, b, c), (pi, qi, zi)
+
+    (a, b, c), (pi, qi, zi) = first_violation()
+    assert (a, b, c) == (1, 1, 1)  # unit slices cannot see a (1, 1) entry
+    message = f"associativity fails on twists ({a},{b},{c}) at indices ({pi},{qi},{zi})"
+    with pytest.raises(AssociativityViolation, match=re.escape(message)):
+        _audit_associativity(tables, J)
+
+
+def test_kernel_rejects_generators_outside_the_polytope():
+    Q = p2_Q()
+    pieces = tuple(floer_group(Q, 0, j) for j in range(3))
+    # x, y >= -2 and x + y <= 0: the same lower corner as Q, so every
+    # generator of Q fits the grids, but (1, 1) * (1, 1) lands outside
+    corner = Polytope.from_halfspaces(((-1, 0), (0, -1), (1, 1)), (2, 2, 0))
+    with pytest.raises(RuntimeError, match="ladder product vanished"):
+        _ladder_tables(corner, pieces, 2)
+    # a target generator missing from piece 2 is a grid miss, not a silent index
+    holed = pieces[:2] + (FloerGroup(0, 2, Q, pieces[2].basis[1:]),)
+    with pytest.raises(RuntimeError, match="hit no generator"):
+        _ladder_tables(Q, holed, 2)
 
 
 def test_json_export_shapes():

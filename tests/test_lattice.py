@@ -145,6 +145,8 @@ def test_fan_validation():
         Fan(((0, 0), (0, 1)), ((0, 1),))  # zero ray
     with pytest.raises(MalformedFan):
         Fan(((1, 0), (0, 1)), ((0, 5),))  # dangling index
+    with pytest.raises(MalformedFan):
+        Fan(((1, 0), (0, 1)), ((0, 1.5),))  # int() would truncate the index
 
 
 def test_moment_polytope_p2():
