@@ -171,17 +171,10 @@ class PatchworkFamily:
         self.exponents = np.array(height.points, dtype=float)
         self.exponents_int = tuple(height.points)
         self.nu_log = np.array([float(v) for v in height.values]) * self.L
-        self.component_planes = []
-        for comp in self.complex.components:
-            if not comp.active:
-                self.component_planes.append(None)
-                continue
-            normals = np.array([[float(x) for x in row] for row in comp.normals])
-            bounds = np.array([float(b) for b in comp.bounds]) * self.L
-            # unit-normal form: single-constraint violations then lower-bound
-            # the true distance, which short-circuits most cutoff queries
-            rn = np.linalg.norm(normals, axis=1)
-            self.component_planes.append((normals / rn[:, None], bounds / rn))
+        self.component_planes = [
+            comp.unit_halfspaces(self.L) if comp.active else None
+            for comp in self.complex.components
+        ]
 
     @classmethod
     def from_fan(cls, fan: Fan, phi, t: float, s: float, eps: float = 0.1):
@@ -195,7 +188,11 @@ class PatchworkFamily:
     # -- cutoffs -------------------------------------------------------
 
     def cutoff_states(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(phi values, gradients d phi/du) at u for every support point."""
+        """(phi values, gradients d phi/du) at u for every support point.
+
+        The distance to each scaled component is exact: one kernel call,
+        unless u is inside it or one halfspace puts u past the outer knot.
+        """
         u = np.asarray(u, dtype=float)
         m = len(self.coefficients)
         phis = np.zeros(m)
@@ -205,20 +202,13 @@ class PatchworkFamily:
                 phis[i] = 1.0
                 continue
             normals, bounds = planes
-            viol = normals @ u - bounds
-            worst = float(np.max(viol))
+            worst = float(np.max(normals @ u - bounds))
             if worst <= 0.0:
                 continue  # inside the component: phi = 0
             if worst >= self.profile.outer:
                 phis[i] = 1.0  # even one halfspace is past the outer knot
                 continue
-            # the projection onto the worst halfspace is often feasible, in
-            # which case it is the exact nearest point; otherwise Dykstra
-            k = int(np.argmax(viol))
-            proj = u - worst * normals[k]
-            if np.max(normals @ proj - bounds) > 1e-9:
-                proj = project_onto_halfspaces(u, normals, bounds)
-            delta = u - proj
+            delta = u - project_onto_halfspaces(u, normals, bounds)
             d = float(np.linalg.norm(delta))
             if d < 1e-14:
                 continue
@@ -366,7 +356,7 @@ def _roots_low_to_high(coeffs: np.ndarray) -> list[complex]:
 
 
 def _newton_polish(F: PatchworkFamily, axis: int, u_fix: float, th_fix: float,
-                   zf: complex, s_target: float, steps: int = 16):
+                   zf: complex, s_target: float):
     """Continuation in s from the algebraic root, Newton in relative steps.
 
     Works entirely in scaled quantities: with a = del_hat e^{-i theta} and
@@ -375,7 +365,7 @@ def _newton_polish(F: PatchworkFamily, axis: int, u_fix: float, th_fix: float,
     well-conditioned 2x2 real system.  The family is read-only throughout.
     """
     if s_target > 0.0:
-        for s_now in np.linspace(0.0, s_target, steps + 1)[1:]:
+        for s_now in np.linspace(0.0, s_target, 17)[1:]:  # 16 equal s-steps
             zf, ok = _newton_refine(F, axis, u_fix, th_fix, zf, float(s_now))
             if not ok:
                 return None
@@ -391,10 +381,9 @@ def _fiber_point(axis: int, u_fix: float, th_fix: float, zf: complex):
     return u, theta
 
 
-def _newton_refine(F: PatchworkFamily, axis: int, u_fix, th_fix, zf, s: float,
-                   iters: int = 12):
+def _newton_refine(F: PatchworkFamily, axis: int, u_fix, th_fix, zf, s: float):
     free = 1 - axis
-    for _ in range(iters):
+    for _ in range(12):
         if not (np.isfinite(zf.real) and np.isfinite(zf.imag)) or zf == 0:
             return zf, False
         r = abs(zf)
@@ -516,18 +505,16 @@ def symplectic_margin(F: PatchworkFamily, z) -> float:
 # exponential decay of non-dominant terms
 # ---------------------------------------------------------------------------
 
-def exponential_decay_check(F: PatchworkFamily, samples: int,
-                            constants=None, seed: int = 0) -> dict:
+def exponential_decay_check(F: PatchworkFamily, samples: int) -> dict:
     """Sampled verification of the off-component decay bound.
 
     For p in C_{beta,t} and every alpha with phi_alpha(p) != 0, checks
-    |t^{-nu(a)} z^a| / |t^{-nu(b)} z^b| < exp(-c eps log t |a-b|_2).
+    |t^{-nu(a)} z^a| / |t^{-nu(b)} z^b| < exp(-c eps log t |a-b|_2), with c
+    the seed-0 c_est of F's complex; the sample points are drawn at seed 0.
     Points where phi_alpha(p) = 0 are vacuous and skipped.
     """
-    if constants is None:
-        constants = tropical_constants(F.complex)
-    c = constants.c_est
-    rng = np.random.default_rng(seed)
+    c = tropical_constants(F.complex).c_est
+    rng = np.random.default_rng(0)
     verts = [np.array([float(x) for x in v]) for v, _ in F.complex.vertices()]
     center = np.mean(verts, axis=0) if verts else np.zeros(F.n)
     radius = max(

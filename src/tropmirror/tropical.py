@@ -6,7 +6,9 @@ exact over Q: facet coplanarity is decided by rational elimination and no
 epsilon ever enters.  The quantitative half (distortion constants, the
 patchworking scale, Hausdorff distances between point clouds and the
 complex) is numerical by nature and uses floats; no combinatorial decision
-depends on a float.
+depends on a float.  The nearest point of a component to a float point is
+exact up to roundoff, not iterated: project_onto_halfspaces enumerates
+candidate active sets and raises rather than return an unconverged point.
 """
 
 from __future__ import annotations
@@ -236,6 +238,14 @@ class Component:
             return all(dot(a, uu) < b for a, b in zip(self.normals, self.bounds))
         return all(dot(a, uu) <= b for a, b in zip(self.normals, self.bounds))
 
+    def unit_halfspaces(self, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """Float H-rep of scale * C_alpha with unit normals, the input form of
+        project_onto_halfspaces: a violation is the distance to its plane."""
+        normals = np.array([[float(x) for x in row] for row in self.normals])
+        bounds = np.array([float(b) for b in self.bounds]) * scale
+        rn = np.linalg.norm(normals, axis=1)
+        return normals / rn[:, None], bounds / rn
+
 
 class TropicalComplex:
     """Tropical hypersurface Pi of a height function, with its duality data."""
@@ -422,35 +432,43 @@ class TropicalConstants:
     diameter: float
 
 
-def project_onto_halfspaces(x0, normals, bounds, iters: int = 50, tol: float = 1e-10):
-    """Dykstra's cyclic projection onto an intersection of halfspaces.
+def project_onto_halfspaces(x0, normals, bounds):
+    """Exact nearest point of {y : normals @ y <= bounds} to x0, in any R^n.
 
-    normals: (m, n) array; bounds: (m,) array; returns the projected point.
-    Unlike plain alternating projection, Dykstra's correction terms make the
-    limit the actual nearest point of the intersection.
+    The rows of normals are unit vectors (Component.unit_halfspaces).  A
+    feasible x0 is returned as is.  If the foot of x0 on the most violated
+    plane is feasible (to 1e-9), it is the answer: no feasible point is nearer than
+    that plane.  Otherwise the answer is the projection of x0 onto the
+    affine hull of some linearly independent set of at most n rows, so every
+    such set is tried and the nearest feasible candidate wins.  An empty
+    intersection raises ValueError; nothing is iterated or capped.
     """
     x = np.array(x0, dtype=float)
     nrm = np.asarray(normals, dtype=float)
     bnd = np.asarray(bounds, dtype=float)
-    m = len(nrm)
-    corr = np.zeros((m, x.size))
-    nn = np.einsum("ij,ij->i", nrm, nrm)
-    for _ in range(iters):
-        shift = 0.0
-        for i in range(m):
-            y = x + corr[i]
-            viol = (nrm[i] @ y - bnd[i]) / nn[i]
-            xnew = y - max(viol, 0.0) * nrm[i]
-            corr[i] = y - xnew
-            shift = max(shift, float(np.max(np.abs(xnew - x))))
-            x = xnew
-        if shift < tol:
-            break
-    return x
+    viol = nrm @ x - bnd
+    k = int(np.argmax(viol))
+    if viol[k] <= 0.0:
+        return x
+    y = x - viol[k] * nrm[k]
+    if np.max(nrm @ y - bnd) <= 1e-9:
+        return y
+    cands = []
+    for r in range(1, min(len(nrm), x.size) + 1):
+        sets = np.array(list(itertools.combinations(range(len(nrm)), r)))
+        rows = nrm[sets]  # (sets, r, n)
+        gram = rows @ rows.transpose(0, 2, 1)
+        live = np.linalg.det(gram) > 1e-12  # scale-free for unit rows
+        lam = np.linalg.solve(gram[live], viol[sets[live]][..., None])
+        cands.append(x - (rows[live].transpose(0, 2, 1) @ lam)[..., 0])
+    cands = np.concatenate(cands)
+    cands = cands[np.max(cands @ nrm.T - bnd, axis=1) <= 1e-9]
+    if not len(cands):
+        raise ValueError("the halfspaces have an empty intersection")
+    return cands[int(np.argmin(np.linalg.norm(cands - x, axis=1)))]
 
 
-def tropical_constants(cx: TropicalComplex, samples: int = 256,
-                       seed: int = 0) -> TropicalConstants:
+def tropical_constants(cx: TropicalComplex, seed: int = 0) -> TropicalConstants:
     """Norm bound N, distortion bound rho, and the sampled separation c_est.
 
     N is the maximum l1 norm over subdivision edge differences and over the
@@ -458,8 +476,10 @@ def tropical_constants(cx: TropicalComplex, samples: int = 256,
     affine chart of each simplex (max of the two operator norms).  c_est is
     half the smallest sampled ratio d(p, H(alpha,beta)) / d(p, C_alpha)
     over points p in C_beta at offset eps' = 1e-3 * diameter from C_alpha;
-    halving keeps the estimate on the safe side of the sampling error.
-    All of it is read from the complex cx and its subdivision.
+    halving keeps the estimate on the safe side of the sampling error.  The
+    points are sampled; the nearest point of C_alpha to each sample is exact
+    (project_onto_halfspaces).  All of it is read from the complex cx and
+    its subdivision.
     """
     h = cx.height
     subd = cx.subdivision
@@ -487,26 +507,21 @@ def tropical_constants(cx: TropicalComplex, samples: int = 256,
         rho = max(rho, best)
 
     verts = [np.array([float(x) for x in v], dtype=float) for v, _ in cx.vertices()]
-    if len(verts) >= 2:
-        diam = max(
-            float(np.linalg.norm(a - b)) for a, b in itertools.combinations(verts, 2)
-        )
-    else:
-        diam = 0.0
+    diam = max((float(np.linalg.norm(a - b)) for a, b in itertools.combinations(verts, 2)),
+               default=0.0)
     if diam < 1e-9:
         diam = 1.0
     center = np.mean(verts, axis=0) if verts else np.zeros(n)
 
     rng = np.random.default_rng(seed)
+    samples = 256  # per ordered pair of adjacent components
     eps_off = 1e-3 * diam
     ratios: list[float] = []
     for ia, ib in cx.adjacent_component_pairs():
         for a_idx, b_idx in ((ia, ib), (ib, ia)):
             ca, cb = cx.components[a_idx], cx.components[b_idx]
-            na = np.array([[float(x) for x in row] for row in ca.normals])
-            ba = np.array([float(b) for b in ca.bounds])
-            nb = np.array([[float(x) for x in row] for row in cb.normals])
-            bb = np.array([float(b) for b in cb.bounds])
+            na, ba = ca.unit_halfspaces(1.0)
+            nb, bb = cb.unit_halfspaces(1.0)
             hvec = np.array(
                 [float(ca.point[k] - cb.point[k]) for k in range(n)], dtype=float
             )
@@ -603,7 +618,7 @@ def _clip_segment_to_box(p, q, window):
     )
 
 
-def complex_segments(cx: TropicalComplex, window, ray_reach: float = 0.0):
+def complex_segments(cx: TropicalComplex, window):
     """Float segments realizing Pi inside the window (n = 2 only).
 
     Rays are truncated far outside the window before clipping, so the
@@ -612,7 +627,7 @@ def complex_segments(cx: TropicalComplex, window, ray_reach: float = 0.0):
     if cx.n != 2:
         raise ValueError("segment realization needs n = 2")
     x0, x1, y0, y1 = window
-    reach = max(abs(x0), abs(x1), abs(y0), abs(y1), ray_reach) * 4.0 + 10.0
+    reach = max(abs(x0), abs(x1), abs(y0), abs(y1)) * 4.0 + 10.0
     segs = []
     for f in cx.faces:
         if f.dim != 1:
@@ -624,15 +639,11 @@ def complex_segments(cx: TropicalComplex, window, ray_reach: float = 0.0):
         if kind == "segment":
             p = (float(geo[1][0]), float(geo[1][1]))
             q = (float(geo[2][0]), float(geo[2][1]))
-        elif kind == "ray":
+        else:  # a ray from b, or a line through b, along d
             b, d = geo[1], geo[2]
             dn = math.hypot(float(d[0]), float(d[1]))
-            p = (float(b[0]), float(b[1]))
-            q = (p[0] + reach * float(d[0]) / dn, p[1] + reach * float(d[1]) / dn)
-        else:  # line
-            b, d = geo[1], geo[2]
-            dn = math.hypot(float(d[0]), float(d[1]))
-            p = (float(b[0]) - reach * float(d[0]) / dn, float(b[1]) - reach * float(d[1]) / dn)
+            back = reach if kind == "line" else 0.0
+            p = (float(b[0]) - back * float(d[0]) / dn, float(b[1]) - back * float(d[1]) / dn)
             q = (float(b[0]) + reach * float(d[0]) / dn, float(b[1]) + reach * float(d[1]) / dn)
         clipped = _clip_segment_to_box(p, q, window)
         if clipped is not None:
@@ -640,7 +651,7 @@ def complex_segments(cx: TropicalComplex, window, ray_reach: float = 0.0):
     return segs
 
 
-def hausdorff_distance(cloud, cx: TropicalComplex, window, resolution: int = 2000) -> float:
+def hausdorff_distance(cloud, cx: TropicalComplex, window) -> float:
     """Symmetric Hausdorff distance between cloud points and Pi in a window.
 
     Both directions are computed: sup over cloud points of the distance to
@@ -678,7 +689,7 @@ def hausdorff_distance(cloud, cx: TropicalComplex, window, resolution: int = 200
 
     # Pi -> cloud
     diag = math.hypot(x1 - x0, y1 - y0)
-    step = diag / max(resolution, 1)
+    step = diag / 2000  # Pi is sampled at steps of 1/2000 of the window diagonal
     samples = []
     for p, q in segs:
         length = math.hypot(q[0] - p[0], q[1] - p[1])
