@@ -4,16 +4,19 @@ zero-locus sampling (n = 2), the symplecticity margin, and the pointwise
 horizontal lift.
 
 Numerical architecture: the interesting scales t are astronomically large
-(log t in the hundreds), so nothing here ever multiplies raw monomials.
+(log t in the hundreds), so term evaluation never multiplies raw monomials.
 Every evaluation works in log coordinates u = Log|z|, theta = arg z, with
 term log-magnitudes m_a = <a,u> - nu(a) log t; the largest m is factored
 out, and covectors are carried in the unit frame (z_j d/dz_j), in which the
-invariant metric |dz_j| = |z_j| becomes the Euclidean one.
+invariant metric |dz_j| = |z_j| becomes the Euclidean one.  (The sampler's
+starting roots are still solved in raw coordinates; see amoeba_sample_curve.)
+Evaluation, cutoffs, nearest points and margins take stacks of points of
+shape (..., n), a single point being the (n,) case, and compute every row
+exactly as they would compute it alone.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import Fan, hull, is_smooth
+from .lattice import Fan, _exact_int, hull, is_smooth
 from .tropical import (
     HeightFunction,
     InvalidEps,
@@ -29,10 +32,6 @@ from .tropical import (
     project_onto_halfspaces,
     tropical_constants,
 )
-
-
-class FiberDegenerate(ArithmeticError):
-    """The cleared fiber polynomial vanished identically."""
 
 
 class NotOnZeroLocus(ValueError):
@@ -48,6 +47,31 @@ class NoCrossing(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# elementwise arithmetic with the rounding of one point
+# ---------------------------------------------------------------------------
+
+def _libm(fn, *args) -> np.ndarray:
+    """fn (a libm function: math.exp, pow, ...) elementwise as float64; numpy's
+    vectorised versions may round the last bit differently."""
+    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b with every product rounded, as numpy's scalar product does."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _norm(v) -> np.ndarray:
+    """2-norm over the last axis, summed as np.linalg.norm sums one vector."""
+    def sq(w):
+        return np.matmul(w[..., None, :], w[..., :, None])[..., 0, 0]
+    return np.sqrt(sq(v.real) + sq(v.imag)) if np.iscomplexobj(v) else np.sqrt(sq(v))
+
+
+# ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
 
@@ -59,7 +83,7 @@ class LaurentPolynomial:
 
     def __post_init__(self):
         cleaned = tuple(
-            (tuple(int(e) for e in a), complex(c)) for a, c in self.terms
+            (tuple(_exact_int(e, "exponent") for e in a), complex(c)) for a, c in self.terms
         )
         cleaned = tuple(sorted(cleaned, key=lambda tc: tc[0]))
         object.__setattr__(self, "terms", cleaned)
@@ -116,22 +140,19 @@ class CutoffProfile:
     outer: float  # eps log t
 
 
-def cutoff(d: float, profile: CutoffProfile) -> tuple[float, float]:
-    """Cubic smoothstep over [inner, outer]: (value, derivative).
+def cutoff(d, profile: CutoffProfile):
+    """Cubic smoothstep over [inner, outer]: (values, derivatives) shaped like d.
 
     Identically 0 below inner, 1 above outer, C^1 across both knots; the
     derivative peaks at the midpoint with value 1.5/(outer-inner), which is
-    3/(eps log t) under the standard knot choice.
+    3/(eps log t) under the standard knot choice.  Negative entries raise.
     """
-    if d < 0:
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0):
         raise ValueError("distances are nonnegative")
-    if d <= profile.inner:
-        return 0.0, 0.0
-    if d >= profile.outer:
-        return 1.0, 0.0
     w = profile.outer - profile.inner
-    x = (d - profile.inner) / w
-    return 3 * x * x - 2 * x ** 3, (6 * x - 6 * x * x) / w
+    x = np.clip((d - profile.inner) / w, 0.0, 1.0)
+    return (3 * x * x - 2 * _libm(pow, x, 3))[()], ((6 * x - 6 * x * x) / w)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -188,70 +209,70 @@ class PatchworkFamily:
     # -- cutoffs -------------------------------------------------------
 
     def cutoff_states(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(phi values, gradients d phi/du) at u for every support point.
+        """(phi values (..., m), gradients d phi/du (..., m, n)) at u (..., n).
 
-        The distance to each scaled component is exact: one kernel call,
-        unless u is inside it or one halfspace puts u past the outer knot.
+        The distance to each scaled component is exact: one kernel call per
+        component on the points neither inside it nor past the outer knot.
         """
         u = np.asarray(u, dtype=float)
+        pts = u.reshape(-1, self.n)
         m = len(self.coefficients)
-        phis = np.zeros(m)
-        grads = np.zeros((m, self.n))
+        phis = np.zeros((len(pts), m))
+        grads = np.zeros((len(pts), m, self.n))
         for i, planes in enumerate(self.component_planes):
             if planes is None:
-                phis[i] = 1.0
+                phis[:, i] = 1.0
                 continue
             normals, bounds = planes
-            worst = float(np.max(normals @ u - bounds))
-            if worst <= 0.0:
-                continue  # inside the component: phi = 0
-            if worst >= self.profile.outer:
-                phis[i] = 1.0  # even one halfspace is past the outer knot
+            worst = np.max(np.matmul(normals, pts[..., None])[..., 0] - bounds, axis=1)
+            phis[worst >= self.profile.outer, i] = 1.0
+            ramp = np.flatnonzero((worst > 0.0) & (worst < self.profile.outer))
+            if not len(ramp):
                 continue
-            delta = u - project_onto_halfspaces(u, normals, bounds)
-            d = float(np.linalg.norm(delta))
-            if d < 1e-14:
-                continue
+            delta = pts[ramp] - project_onto_halfspaces(pts[ramp], normals, bounds)
+            d = _norm(delta)
+            away = ~(d < 1e-14)
+            ramp, delta, d = ramp[away], delta[away], d[away]
             val, dval = cutoff(d, self.profile)
-            phis[i] = val
-            grads[i] = (dval / d) * delta
-        return phis, grads
+            phis[ramp, i] = val
+            grads[ramp, i] = (dval / d)[:, None] * delta
+        lead = u.shape[:-1]
+        return phis.reshape(lead + (m,)), grads.reshape(lead + (m, self.n))
 
     # -- scaled evaluation core ----------------------------------------
 
     def eval_scaled(self, u, theta, s: float | None = None):
         """Everything at z = exp(u + i theta), with e^{mstar} factored out.
 
-        Returns (mstar, value_hat, del_hat, delbar_hat) where the true value
-        is e^{mstar} value_hat and the true covector components in the unit
-        frame (z_j df/dz_j and conj(z_j) dbar f/dzbar_j) are e^{mstar} times
-        the hats.  Norms in the invariant metric are plain 2-norms of the
-        hats (times e^{mstar}).  s overrides the family parameter (used by
-        the continuation; the family itself is never mutated).
+        Returns (mstar, value_hat, del_hat, delbar_hat) for u, theta of shape
+        (..., n); the covector hats have shape (..., n).  The true value is
+        e^{mstar} value_hat and the true covector components in the unit frame
+        (z_j df/dz_j and conj(z_j) dbar f/dzbar_j) are e^{mstar} times the
+        hats.  Norms in the invariant metric are plain 2-norms of the hats
+        (times e^{mstar}).  s overrides the family parameter (used by the
+        continuation; the family itself is never mutated).
         """
         if s is None:
             s = self.s
         u = np.asarray(u, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        m = self.exponents @ u - self.nu_log
-        mstar = float(np.max(m))
-        mag = np.exp(m - mstar)
-        phase = np.exp(1j * (self.exponents @ theta))
+        m = np.matmul(self.exponents, u[..., None])[..., 0] - self.nu_log
+        mstar = np.max(m, axis=-1)
+        mag = np.exp(m - mstar[..., None])
+        phase = np.exp(1j * np.matmul(self.exponents, theta[..., None])[..., 0])
         T = self.coefficients * mag * phase
         if s == 0.0:
-            B = np.ones(len(T))
-            grads = np.zeros((len(T), self.n))
+            B = np.ones(T.shape)
+            grads = np.zeros(T.shape + (self.n,))
         else:
             phis, grads = self.cutoff_states(u)
             B = 1.0 - s * phis
-        value = complex(np.sum(T * B))
-        del_hat = np.empty(self.n, dtype=complex)
-        delbar_hat = np.empty(self.n, dtype=complex)
-        for j in range(self.n):
-            cut = 0.5 * s * (T @ grads[:, j])
-            del_hat[j] = np.sum(T * B * self.exponents[:, j]) - cut
-            delbar_hat[j] = -cut
-        return mstar, value, del_hat, delbar_hat
+        TB = T * B
+        # one dot product per point and coordinate: T @ (column j of grads)
+        cut = 0.5 * s * np.matmul(T[..., None, None, :],
+                                  np.swapaxes(grads, -1, -2)[..., None])[..., 0, 0]
+        del_hat = (TB[..., None, :] * self.exponents.T).sum(axis=-1) - cut
+        return mstar, TB.sum(axis=-1), del_hat, -cut
 
     def surviving_terms(self, u) -> tuple:
         """Exponents whose cutoff has not fully killed the term (phi < 1)."""
@@ -262,9 +283,9 @@ class PatchworkFamily:
 
 
 def _log_coords(z):
-    u = np.array([math.log(abs(zj)) for zj in z])
-    theta = np.array([cmath.phase(zj) for zj in z])
-    return u, theta
+    """(Log|z|, arg z) of complex coordinates, with the C library's rounding."""
+    z = np.asarray(z, dtype=complex)
+    return _libm(math.log, np.hypot(z.real, z.imag)), _libm(math.atan2, z.imag, z.real)
 
 
 def eval_family(F: PatchworkFamily, z: Sequence[complex]):
@@ -311,110 +332,119 @@ def lopsided_certificate(F: PatchworkFamily, u):
 # fiber solving (n = 2)
 # ---------------------------------------------------------------------------
 
-def _fiber_coefficients(F: PatchworkFamily, axis: int, u_fix: float, th_fix: float):
-    """Coefficients (low to high in the free variable) of the cleared s=0
-    fiber polynomial over z_axis = exp(u_fix + i th_fix), normalized by the
-    largest magnitude."""
-    free = 1 - axis
-    ks = [int(a[free]) for a in F.exponents_int]
-    k_min = min(ks)
-    deg = max(ks) - k_min
-    logmag = np.array([
-        float(F.exponents[i, axis]) * u_fix - F.nu_log[i]
-        for i in range(len(F.coefficients))
-    ])
-    scale = float(np.max(logmag))
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    for i, (a, c) in enumerate(zip(F.exponents_int, F.coefficients)):
-        coeffs[a[free] - k_min] += c * math.exp(logmag[i] - scale) * cmath.exp(1j * a[axis] * th_fix)
-    return coeffs, scale
+def _fiber_coefficients(F: PatchworkFamily, axis, u_fix, th_fix) -> np.ndarray:
+    """Coefficients (low to high in the free variable, zero-padded on top) of
+    the cleared s = 0 fiber polynomial over z_axis = exp(u_fix + i th_fix),
+    one row per fiber, with its largest term magnitude factored out."""
+    fixed = F.exponents[:, axis].T  # (fibers, terms)
+    free = np.array(F.exponents_int)[:, 1 - axis].T
+    free = free - free.min(axis=1, keepdims=True)
+    logmag = fixed * u_fix[:, None] - F.nu_log
+    mag = _libm(math.exp, logmag - logmag.max(axis=1, keepdims=True))
+    terms = _cmul(F.coefficients * mag, np.exp(1j * fixed * th_fix[:, None]))
+    coeffs = np.zeros((len(free), free.max(initial=0) + 1), dtype=complex)
+    np.add.at(coeffs, (np.arange(len(free))[:, None], free), terms)
+    return coeffs
 
 
-def _roots_low_to_high(coeffs: np.ndarray) -> list[complex]:
-    """Roots of sum coeffs[k] z^k; stable quadratic path for degree <= 2."""
-    c = coeffs.copy()
-    # strip numerically dead leading terms so np.roots sees the true degree
-    top = len(c) - 1
-    while top > 0 and abs(c[top]) < 1e-300:
-        top -= 1
-    c = c[: top + 1]
-    if len(c) == 1 or np.max(np.abs(c)) == 0.0:
-        raise FiberDegenerate("cleared fiber polynomial is constant or zero")
-    if len(c) == 2:
-        return [-c[0] / c[1]]
-    if len(c) == 3:
-        c0, c1, c2 = c
-        disc = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
-        if (c1.conjugate() * disc).real < 0.0:
-            disc = -disc
-        q = -0.5 * (c1 + disc)
-        roots = []
-        roots.append(q / c2 if c2 != 0 else complex("inf"))
-        roots.append(c0 / q if q != 0 else 0.0)
-        return roots
-    return list(np.roots(c[::-1]))
+def _fiber_roots(coeffs: np.ndarray):
+    """(fiber, roots) in (fiber, root) order, and the degenerate-fiber mask.
 
-
-def _newton_polish(F: PatchworkFamily, axis: int, u_fix: float, th_fix: float,
-                   zf: complex, s_target: float):
-    """Continuation in s from the algebraic root, Newton in relative steps.
-
-    Works entirely in scaled quantities: with a = del_hat e^{-i theta} and
-    b = delbar_hat e^{+i theta} (components of the free variable), the
-    displacement dz = |z| w obeys dF/e^{mstar} = a w + b conj(w), a
-    well-conditioned 2x2 real system.  The family is read-only throughout.
+    Dead leading terms (|c| < 1e-300) are stripped; degree 0 is degenerate.
+    Per effective degree: closed forms for 1 and 2 (stable quadratic), else
+    the companion eigenvalues np.roots would compute.  A root that overflows
+    is non-finite and counted by the sampler, so it is not warned about.
     """
-    if s_target > 0.0:
-        for s_now in np.linspace(0.0, s_target, 17)[1:]:  # 16 equal s-steps
-            zf, ok = _newton_refine(F, axis, u_fix, th_fix, zf, float(s_now))
-            if not ok:
-                return None
-    zf, ok = _newton_refine(F, axis, u_fix, th_fix, zf, s_target)
-    return zf if ok else None
+    alive = ~(np.hypot(coeffs.real, coeffs.imag) < 1e-300)
+    top = coeffs.shape[1] - 1 - np.argmax(alive[:, ::-1], axis=1)
+    deg = np.where(alive.any(axis=1), top, 0)
+    fibers, roots = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for d in np.unique(deg[deg > 0]):
+            rows = np.flatnonzero(deg == d)
+            c = coeffs[rows, : d + 1]
+            if d == 1:
+                r = (-c[:, 0] / c[:, 1])[:, None]
+            elif d == 2:
+                c0, c1, c2 = c.T
+                disc = np.sqrt(_cmul(c1, c1) - _cmul(4.0 * c2, c0))
+                disc = np.where(_cmul(c1.conj(), disc).real < 0.0, -disc, disc)
+                q = -0.5 * (c1 + disc)
+                r = np.stack([q / c2, np.where(q != 0, c0 / q, 0)], axis=1)
+            else:
+                r = np.zeros((len(rows), d), dtype=complex)
+                low = np.argmax(c != 0, axis=1)  # exact zero roots come last
+                for k in np.unique(low[low < d]):
+                    sub = np.flatnonzero(low == k)
+                    p = c[sub, k:][:, ::-1]  # high to low, nonzero at both ends
+                    A = np.zeros((len(sub), d - k, d - k), dtype=complex)
+                    A[:, 1:, :-1] = np.eye(d - k - 1)
+                    A[:, 0, :] = -p[:, 1:] / p[:, :1]
+                    r[sub, : d - k] = np.linalg.eigvals(A)
+            fibers.append(np.repeat(rows, d))
+            roots.append(r.ravel())
+    fiber = np.concatenate(fibers)
+    order = np.argsort(fiber, kind="stable")
+    return fiber[order], np.concatenate(roots)[order], deg == 0
 
 
-def _fiber_point(axis: int, u_fix: float, th_fix: float, zf: complex):
-    u = np.empty(2)
-    theta = np.empty(2)
-    u[axis], theta[axis] = u_fix, th_fix
-    u[1 - axis], theta[1 - axis] = math.log(abs(zf)), cmath.phase(zf)
-    return u, theta
+def _newton_continuation(F: PatchworkFamily, free, u, theta, z) -> np.ndarray:
+    """Carry each root z (one per row) from s = 0 to F.s: 16 equal s-steps
+    if F.s > 0, then a refine at F.s, each at most 12 masked Newton steps.
 
-
-def _newton_refine(F: PatchworkFamily, axis: int, u_fix, th_fix, zf, s: float):
-    free = 1 - axis
-    for _ in range(12):
-        if not (np.isfinite(zf.real) and np.isfinite(zf.imag)) or zf == 0:
-            return zf, False
-        r = abs(zf)
-        u, theta = _fiber_point(axis, u_fix, th_fix, zf)
-        _, val, dh, dbh = F.eval_scaled(u, theta, s)
-        if abs(val) < 1e-12:
-            return zf, True
-        ph = cmath.exp(1j * theta[free])
-        a = dh[free] / ph
-        b = dbh[free] * ph
-        J = np.array([[ (a + b).real, -(a - b).imag],
-                      [ (a + b).imag,  (a - b).real]])
-        rhs = -np.array([val.real, val.imag])
-        try:
-            w = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            return zf, False
-        zf = zf + r * complex(w[0], w[1])
-    if abs(zf) == 0:
-        return zf, False
-    u, theta = _fiber_point(axis, u_fix, th_fix, zf)
-    _, val, _, _ = F.eval_scaled(u, theta, s)
-    return zf, abs(val) < 1e-10
+    u and theta rows hold each fiber's fixed coordinate; the free one (index
+    `free`) is set in place from the row's last iterate.  A row passes a stage
+    at scaled |f| < 1e-12, or < 1e-10 after 12 steps, and fails on a zero or
+    non-finite iterate or a singular system.  The step dz = |z| w solves
+    dF/e^{mstar} = a w + b conj(w), a = del_hat e^{-i theta}, b = delbar_hat
+    e^{i theta} (free components).  Returns the mask of rows that made it.
+    """
+    ok = np.ones(len(z), dtype=bool)
+    stages = [float(s) for s in np.linspace(0.0, F.s, 17)[1:]] if F.s > 0.0 else []
+    for s in stages + [F.s]:
+        live = np.flatnonzero(ok)
+        for it in range(13):
+            bad = ~np.isfinite(z[live]) | (z[live] == 0)
+            ok[live[bad]] = False
+            live = live[~bad]
+            u[live, free[live]], theta[live, free[live]] = _log_coords(z[live])
+            _, val, dh, dbh = F.eval_scaled(u[live], theta[live], s)
+            res = np.hypot(val.real, val.imag)
+            if it == 12:  # out of steps: the looser tolerance decides
+                ok[live[~(res < 1e-10)]] = False
+                break
+            step = ~(res < 1e-12)
+            live, val, dh, dbh = live[step], val[step], dh[step], dbh[step]
+            k, f = np.arange(len(live)), free[live]
+            ph = np.exp(1j * theta[live, f])
+            a = dh[k, f] / ph
+            b = _cmul(dbh[k, f], ph)
+            J = np.stack([np.stack([(a + b).real, -(a - b).imag], axis=-1),
+                          np.stack([(a + b).imag, (a - b).real], axis=-1)], axis=-2)
+            rhs = -np.stack([val.real, val.imag], axis=-1)
+            # the singular systems are exactly those np.linalg.solve rejects
+            solvable = np.isfinite(J).all(axis=(1, 2)) & (np.linalg.slogdet(J)[0] != 0)
+            ok[live[~solvable]] = False
+            live = live[solvable]
+            w = np.linalg.solve(J[solvable], rhs[solvable][..., None])[..., 0]
+            dz = np.empty(len(live), dtype=complex)
+            dz.real, dz.imag = w[:, 0], w[:, 1]
+            with np.errstate(over="ignore", invalid="ignore"):  # caught by the next check
+                z[live] = z[live] + np.hypot(z[live].real, z[live].imag) * dz
+    return ok
 
 
 @dataclass
 class SampleResult:
-    points: np.ndarray          # (N, 2) Log-coordinates of emitted points
+    points: np.ndarray       # (N, 2) Log-coordinates u of emitted points
+    angles: np.ndarray       # (N, 2) arguments theta of the same points
+    residuals: np.ndarray    # absolute |f| at each point
     degenerate_fibers: int
-    witnesses: list             # (u_vec, theta_vec) per emitted point
-    residuals: np.ndarray       # absolute |f| at each witness
+    dropped: dict            # roots dropped, by reason (see amoeba_sample_curve)
+
+    @property
+    def witnesses(self) -> list:  # (u_vec, theta_vec) per emitted point
+        return list(zip(map(tuple, self.points), map(tuple, self.angles)))
 
 
 def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> SampleResult:
@@ -427,78 +457,66 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     e^{-O(log t)}), but has full angular width in the transverse sweep, so
     the union of the two sweeps covers every wall at grid resolution.
 
-    s = 0 fibers are solved by clearing denominators (companion matrix /
-    stable quadratic); s > 0 by Newton continuation from those roots.
-    Fibers are solved in grid order, so the output is deterministic for
-    fixed inputs.
+    Three array passes over all fibers: one scatter builds the cleared s = 0
+    polynomials, roots are solved per effective degree, and one masked Newton
+    continuation carries them to s = F.s; points come out in grid order
+    (axis, u_fix, theta, root).  The roots are solved in raw coordinates of
+    the free variable, so at large log t fibers underflow (degenerate_fibers)
+    and roots are lost.  Each lost root is counted in `dropped` by its first
+    reason: `non_finite` (solver gave 0 or non-finite), `newton`
+    (continuation failed), `window` (outside the window), `residual` (final
+    |f| non-finite or above 1e-8).
     """
     if F.n != 2:
         raise ValueError("fiber sampling is implemented for n = 2")
-    if len(radius_grid) == 3:
-        u1_lo, u1_hi, n_r = radius_grid
-        u2_lo, u2_hi = float(u1_lo), float(u1_hi)
-    else:
-        (u1_lo, u1_hi, u2_lo, u2_hi), n_r = radius_grid
-    windows = ((float(u1_lo), float(u1_hi)), (float(u2_lo), float(u2_hi)))
+    if len(radius_grid) == 3:  # one window for both coordinates
+        radius_grid = (tuple(radius_grid[:2]) * 2, radius_grid[2])
+    windows = np.array(radius_grid[0], dtype=float).reshape(2, 2)
     thetas = 2.0 * math.pi * np.arange(int(arg_grid)) / max(int(arg_grid), 1)
-
-    points, witnesses, residuals = [], [], []
-    degenerate = 0
-    for axis in (0, 1):
-        lo, hi = windows[1 - axis]
-        for u_fix in np.linspace(*windows[axis], int(n_r)):
-            u_fix = float(u_fix)
-            for th_fix in thetas:
-                th_fix = float(th_fix)
-                try:
-                    coeffs, _ = _fiber_coefficients(F, axis, u_fix, th_fix)
-                    roots = _roots_low_to_high(coeffs)
-                except FiberDegenerate:
-                    degenerate += 1
-                    continue
-                for zf in roots:
-                    if zf == 0 or not (np.isfinite(zf.real) and np.isfinite(zf.imag)):
-                        continue
-                    zfp = _newton_polish(F, axis, u_fix, th_fix, zf, F.s)
-                    if zfp is None or zfp == 0:
-                        continue
-                    uf = math.log(abs(zfp))
-                    if not (lo <= uf <= hi):
-                        continue
-                    u, theta = _fiber_point(axis, u_fix, th_fix, zfp)
-                    mstar, val, _, _ = F.eval_scaled(u, theta)
-                    residual = math.exp(mstar) * abs(val)
-                    if not math.isfinite(residual) or residual > 1e-8:
-                        continue
-                    points.append((u[0], u[1]))
-                    witnesses.append((tuple(u), tuple(theta)))
-                    residuals.append(residual)
-    arr = np.array(points) if points else np.zeros((0, 2))
-    return SampleResult(arr, degenerate, witnesses, np.array(residuals))
+    n_r, n_th = int(radius_grid[1]), len(thetas)
+    axis = np.repeat([0, 1], n_r * n_th)
+    u_fix = np.concatenate([np.repeat(np.linspace(*w, n_r), n_th) for w in windows])
+    th_fix = np.tile(thetas, 2 * n_r)
+    fiber, z, degenerate = _fiber_roots(_fiber_coefficients(F, axis, u_fix, th_fix))
+    found = np.isfinite(z) & (z != 0)
+    fiber, z = fiber[found], z[found]
+    k, axis = np.arange(len(z)), axis[fiber]
+    u, theta = np.zeros((len(z), 2)), np.zeros((len(z), 2))
+    u[k, axis], theta[k, axis] = u_fix[fiber], th_fix[fiber]
+    ok = _newton_continuation(F, 1 - axis, u, theta, z)
+    uf = u[k, 1 - axis]
+    inside = ok & (windows[1 - axis, 0] <= uf) & (uf <= windows[1 - axis, 1])
+    mstar, val, _, _ = F.eval_scaled(u[inside], theta[inside])
+    residuals = _libm(math.exp, mstar) * np.hypot(val.real, val.imag)
+    good = np.isfinite(residuals) & (residuals <= 1e-8)
+    dropped = {reason: int(np.count_nonzero(mask)) for reason, mask in (
+        ("non_finite", ~found), ("newton", ~ok), ("window", ok & ~inside), ("residual", ~good))}
+    return SampleResult(u[inside][good], theta[inside][good], residuals[good],
+                        int(np.count_nonzero(degenerate)), dropped)
 
 
 # ---------------------------------------------------------------------------
 # the symplecticity margin
 # ---------------------------------------------------------------------------
 
-def symplectic_margin(F: PatchworkFamily, z) -> float:
-    """|df|_g - |dbar f|_g at a zero-locus witness.
+def symplectic_margin(F: PatchworkFamily, z):
+    """|df|_g - |dbar f|_g at zero-locus witnesses.
 
-    Accepts either a tuple of complex coordinates or a log-form witness
-    (u_vec, theta_vec) as produced by the sampler.  The residual
-    precondition |f| < 1e-8 is enforced (NotOnZeroLocus).
+    z is complex coordinates (..., n) or a log-form pair (u, theta) of such
+    arrays, e.g. (SampleResult.points, .angles).  The residual precondition
+    |f| < 1e-8 is enforced at every witness (NotOnZeroLocus).
     """
-    if len(z) == 2 and isinstance(z[0], (tuple, list, np.ndarray)):
-        u = np.asarray(z[0], dtype=float)
-        theta = np.asarray(z[1], dtype=float)
-    else:
+    if np.iscomplexobj(z) or np.ndim(z[0]) == 0:
         u, theta = _log_coords(z)
+    else:
+        u, theta = (np.asarray(w, dtype=float) for w in z)
     mstar, val, dh, dbh = F.eval_scaled(u, theta)
-    residual = math.exp(mstar) * abs(val)
-    if not (residual < 1e-8):
-        raise NotOnZeroLocus(f"residual {residual!r} exceeds 1e-8")
-    scale = math.exp(mstar)
-    return scale * (float(np.linalg.norm(dh)) - float(np.linalg.norm(dbh)))
+    scale = _libm(math.exp, mstar)
+    residual = np.ravel(scale * np.hypot(val.real, val.imag))
+    off = residual[~(residual < 1e-8)]
+    if len(off):
+        raise NotOnZeroLocus(f"residual {float(off[0])!r} exceeds 1e-8")
+    return (scale * (_norm(dh) - _norm(dbh)))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -517,33 +535,23 @@ def exponential_decay_check(F: PatchworkFamily, samples: int) -> dict:
     rng = np.random.default_rng(0)
     verts = [np.array([float(x) for x in v]) for v, _ in F.complex.vertices()]
     center = np.mean(verts, axis=0) if verts else np.zeros(F.n)
-    radius = max(
-        (float(np.linalg.norm(v - center)) for v in verts), default=1.0
-    )
+    radius = max((float(np.linalg.norm(v - center)) for v in verts), default=1.0)
     halfwidth = (radius + 1.0) * 2.0 * F.L
-    checked = violations = skipped = 0
     exps = F.exponents
-    for _ in range(samples):
-        u = center * F.L + rng.uniform(-halfwidth, halfwidth, size=F.n)
-        m = exps @ u - F.nu_log
-        beta = int(np.argmax(m))
-        phis, _ = F.cutoff_states(u)
-        for alpha in range(len(m)):
-            if alpha == beta:
-                continue
-            if phis[alpha] == 0.0:
-                skipped += 1
-                continue
-            checked += 1
-            diff = exps[alpha] - exps[beta]
-            bound = -c * F.eps * F.L * float(np.linalg.norm(diff))
-            if m[alpha] - m[beta] >= bound:
-                violations += 1
+    u = center * F.L + rng.uniform(-halfwidth, halfwidth, size=(samples, F.n))
+    m = np.matmul(exps, u[..., None])[..., 0] - F.nu_log
+    beta = np.argmax(m, axis=1)
+    phis, _ = F.cutoff_states(u)
+    # bound[alpha, beta] = -c eps log t |alpha - beta|_2
+    bound = -c * F.eps * F.L * _norm(exps[:, None, :] - exps[None, :, :])
+    other = np.arange(len(exps)) != beta[:, None]
+    checked = other & ~(phis == 0.0)
+    gap = m - np.take_along_axis(m, beta[:, None], axis=1)
     return {
         "samples": samples,
-        "checked": checked,
-        "violations": violations,
-        "skipped_zero_cutoff": skipped,
+        "checked": int(np.count_nonzero(checked)),
+        "violations": int(np.count_nonzero(checked & (gap >= bound[:, beta].T))),
+        "skipped_zero_cutoff": int(np.count_nonzero(other & (phis == 0.0))),
         "bound_constant": c,
     }
 
@@ -597,48 +605,39 @@ def boundary_sphere_sample(F: PatchworkFamily, samples: int) -> BoundarySample:
     """First zero of the real restriction u -> f_{t,s}(e^u) along each ray.
 
     The restriction is real because fan-built coefficients are real.  Rays
-    fan out from the origin on a uniform angle grid; each is marched until
-    the scaled value changes sign and then bisected.  Rays with no crossing
-    are reported in `missed`; if every ray misses, NoCrossing is raised.
+    fan out from the origin on a uniform angle grid.  Every ray is evaluated
+    at once on one grid of radii, cut at its first sign change, and then
+    bisected, all rays together.  Rays with no crossing are reported in
+    `missed`; if every ray misses, NoCrossing is raised.
     """
     if F.n != 2:
         raise ValueError("boundary scan is implemented for n = 2")
     if np.max(np.abs(F.coefficients.imag)) > 0:
         raise ValueError("boundary scan needs a real-coefficient family")
 
-    def g(r, w):
-        _, val, _, _ = F.eval_scaled(r * w, np.zeros(2))
-        return val.real
+    def g(r, w):  # radii (rays, k) along directions (rays, 2)
+        u = r[..., None] * w[:, None, :]
+        return F.eval_scaled(u, np.zeros(u.shape))[1].real
 
     verts = [np.array([float(x) for x in v]) for v, _ in F.complex.vertices()]
     reach = max((float(np.linalg.norm(v)) for v in verts), default=1.0)
     r_max = (reach + 3.0 * F.eps) * F.L + 5.0
     step = max(F.L, 1.0) * 0.02
-    pts, missed = [], []
-    for i in range(samples):
-        psi = 2.0 * math.pi * i / samples
-        w = np.array([math.cos(psi), math.sin(psi)])
-        r_prev, g_prev = 0.0, g(0.0, w)
-        bracket = None
-        r = step
-        while r <= r_max:
-            g_now = g(r, w)
-            if g_now == 0.0 or (g_now > 0) != (g_prev > 0):
-                bracket = (r_prev, r)
-                break
-            r_prev, g_prev = r, g_now
-            r += step
-        if bracket is None:
-            missed.append(i)
-            continue
-        lo, hi = bracket
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if (g(mid, w) > 0) == (g_prev > 0):
-                lo = mid
-            else:
-                hi = mid
-        pts.append(0.5 * (lo + hi) * w)
-    if not pts:
+    radii = np.cumsum(np.full(int(r_max / step) + 2, step))  # step, step + step, ...
+    radii = np.concatenate([[0.0], radii[radii <= r_max]])
+    psi = 2.0 * math.pi * np.arange(samples) / samples
+    w = np.stack([_libm(math.cos, psi), _libm(math.sin, psi)], axis=1)
+    G = g(np.broadcast_to(radii, (samples, len(radii))), w)
+    cross = (G[:, 1:] == 0.0) | ((G[:, 1:] > 0) != (G[:, :-1] > 0))
+    hit = np.flatnonzero(cross.any(axis=1))
+    if not len(hit):
         raise NoCrossing("no ray of the boundary scan found a sign change")
-    return BoundarySample(np.array(pts), tuple(missed))
+    k = np.argmax(cross[hit], axis=1)
+    lo, hi, w = radii[k], radii[k + 1], w[hit]
+    positive = G[hit, k] > 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = (g(mid[:, None], w)[:, 0] > 0) == positive
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    missed = np.setdiff1d(np.arange(samples), hit)
+    return BoundarySample((0.5 * (lo + hi))[:, None] * w, tuple(int(i) for i in missed))

@@ -330,7 +330,7 @@ def cmd_amoeba(config: JobConfig) -> int:
         lines.append(f"{float(p[0])!r},{float(p[1])!r},{float(r)!r}")
     _write_text(os.path.join(config.out, "cloud.csv"), "\n".join(lines) + "\n")
 
-    margins = np.array([symplectic_margin(F, w) for w in res.witnesses], dtype=float)
+    margins = symplectic_margin(F, (res.points, res.angles))
     bins = 32
     hist_lines = ["bin_low,bin_high,count"]
     if len(margins):
@@ -354,6 +354,7 @@ def cmd_amoeba(config: JobConfig) -> int:
         "window": list(config.window),
         "points": int(len(res.points)),
         "degenerate_fibers": res.degenerate_fibers,
+        "dropped_roots": res.dropped,
         "hausdorff": dist,
         "margin_min": float(margins.min()) if len(margins) else None,
         "margin_max": float(margins.max()) if len(margins) else None,

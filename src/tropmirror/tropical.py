@@ -25,6 +25,7 @@ from .lattice import (
     Fan,
     Polytope,
     Vec,
+    _exact_int,
     affine_dim,
     dot,
     hull,
@@ -65,7 +66,7 @@ class HeightFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        pts = tuple(tuple(int(x) for x in p) for p in self.points)
+        pts = tuple(tuple(_exact_int(x, "support coordinate") for x in p) for p in self.points)
         vals = tuple(Fraction(v) for v in self.values)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
@@ -336,10 +337,6 @@ class TropicalComplex:
         return Polytope.from_halfspaces(list(comp.normals), list(comp.bounds))
 
 
-def tropical_complex(h: HeightFunction) -> TropicalComplex:
-    return TropicalComplex(h)
-
-
 def _cell_proper_faces(indices: Sequence[int], A) -> set[frozenset]:
     """All proper faces (every dimension) of conv(A[i] for i in indices).
 
@@ -433,39 +430,44 @@ class TropicalConstants:
 
 
 def project_onto_halfspaces(x0, normals, bounds):
-    """Exact nearest point of {y : normals @ y <= bounds} to x0, in any R^n.
+    """Exact nearest point of {y : normals @ y <= bounds} to each row of x0
+    (shape (..., n), any n), computed exactly as for that row alone.
 
     The rows of normals are unit vectors (Component.unit_halfspaces).  A
-    feasible x0 is returned as is.  If the foot of x0 on the most violated
-    plane is feasible (to 1e-9), it is the answer: no feasible point is nearer than
-    that plane.  Otherwise the answer is the projection of x0 onto the
-    affine hull of some linearly independent set of at most n rows, so every
-    such set is tried and the nearest feasible candidate wins.  An empty
-    intersection raises ValueError; nothing is iterated or capped.
+    feasible point is returned as is; else its foot on the most violated
+    plane, if feasible (to 1e-9); else the nearest feasible projection onto
+    the affine hull of a linearly independent set of at most n rows, every
+    such set being tried.  An empty intersection raises ValueError.
     """
     x = np.array(x0, dtype=float)
     nrm = np.asarray(normals, dtype=float)
     bnd = np.asarray(bounds, dtype=float)
-    viol = nrm @ x - bnd
-    k = int(np.argmax(viol))
-    if viol[k] <= 0.0:
+    pts = x.reshape(-1, x.shape[-1])
+    viol = np.matmul(nrm, pts[..., None])[..., 0] - bnd
+    k = np.argmax(viol, axis=1)
+    far = np.flatnonzero(viol[np.arange(len(pts)), k] > 0.0)
+    if not len(far):
         return x
-    y = x - viol[k] * nrm[k]
-    if np.max(nrm @ y - bnd) <= 1e-9:
-        return y
-    cands = []
-    for r in range(1, min(len(nrm), x.size) + 1):
-        sets = np.array(list(itertools.combinations(range(len(nrm)), r)))
-        rows = nrm[sets]  # (sets, r, n)
-        gram = rows @ rows.transpose(0, 2, 1)
-        live = np.linalg.det(gram) > 1e-12  # scale-free for unit rows
-        lam = np.linalg.solve(gram[live], viol[sets[live]][..., None])
-        cands.append(x - (rows[live].transpose(0, 2, 1) @ lam)[..., 0])
-    cands = np.concatenate(cands)
-    cands = cands[np.max(cands @ nrm.T - bnd, axis=1) <= 1e-9]
-    if not len(cands):
-        raise ValueError("the halfspaces have an empty intersection")
-    return cands[int(np.argmin(np.linalg.norm(cands - x, axis=1)))]
+    out = pts.copy()
+    out[far] = pts[far] - viol[far, k[far]][:, None] * nrm[k[far]]
+    far = far[np.max(np.matmul(nrm, out[far][..., None])[..., 0] - bnd, axis=1) > 1e-9]
+    if len(far):
+        p, v = pts[far], viol[far]
+        cands = []
+        for r in range(1, min(len(nrm), x.shape[-1]) + 1):
+            sets = np.array(list(itertools.combinations(range(len(nrm)), r)))
+            rows = nrm[sets]  # (sets, r, n)
+            gram = rows @ rows.transpose(0, 2, 1)
+            live = np.linalg.det(gram) > 1e-12  # scale-free for unit rows
+            lam = np.linalg.solve(gram[live], v[:, sets[live]][..., None])
+            cands.append(p[:, None] - (rows[live].transpose(0, 2, 1) @ lam)[..., 0])
+        cands = np.concatenate(cands, axis=1)  # (points, candidates, n)
+        feasible = np.max(cands @ nrm.T - bnd, axis=2) <= 1e-9
+        if not feasible.any(axis=1).all():
+            raise ValueError("the halfspaces have an empty intersection")
+        dist = np.where(feasible, np.linalg.norm(cands - p[:, None], axis=2), np.inf)
+        out[far] = cands[np.arange(len(far)), np.argmin(dist, axis=1)]
+    return out.reshape(x.shape)
 
 
 def tropical_constants(cx: TropicalComplex, seed: int = 0) -> TropicalConstants:

@@ -27,6 +27,7 @@ from tropmirror.amoeba import (
     NoCrossing,
     NotOnZeroLocus,
     PatchworkFamily,
+    _fiber_roots,
     amoeba_sample_curve,
     boundary_sphere_sample,
     cutoff,
@@ -115,6 +116,13 @@ def test_laurent_polynomial_basics():
         LaurentPolynomial((((1, 0), 1.0), ((1, 0), 2.0)))
 
 
+def test_laurent_polynomial_rejects_non_integer_exponents():
+    # int() would read 1.5 as 1, 0.7 as 0 and accept the string "1"
+    for bad in (1.5, 0.7, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            LaurentPolynomial((((bad, 0), 1.0), ((0, 1), 2.0)))
+
+
 def test_mirror_potential_fixtures():
     W = mirror_potential(P2_FAN)
     terms = dict(W.terms)
@@ -172,6 +180,18 @@ def test_cutoff_derivative_bound_and_continuity():
         v_lo, d_lo = cutoff(knot - 1e-9, prof)
         v_hi, d_hi = cutoff(knot + 1e-9, prof)
         assert abs(v_hi - v_lo) < 1e-8 and abs(d_hi - d_lo) < 1e-7
+
+
+def test_cutoff_stack_matches_single_values():
+    eps, L = 0.1, 8.0
+    prof = CutoffProfile(0.5 * eps * L, eps * L)
+    d = np.concatenate([np.linspace(0.0, 2.0 * eps * L, 1000), [prof.inner, prof.outer]])
+    vals, ders = cutoff(d.reshape(2, -1), prof)
+    one = np.array([cutoff(float(x), prof) for x in d])
+    assert np.array_equal(vals.ravel(), one[:, 0])
+    assert np.array_equal(ders.ravel(), one[:, 1])
+    with pytest.raises(ValueError):
+        cutoff(np.array([0.5, -1e-12, 0.1]), prof)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +270,31 @@ def test_localization_of_surviving_terms():
     assert set(F.surviving_terms((-2 * L, L))) == {(0, 0), (0, 1), (-1, -1)}
     # further out along the dual ray only the edge pair survives
     assert set(F.surviving_terms((-4 * L, 2 * L))) == {(0, 1), (-1, -1)}
+
+
+def test_stacked_evaluation_matches_single_points():
+    # a (K, 2) stack gives, row for row and bit for bit, what K single-point
+    # calls give: inside a component, on the cutoff ramp (one component, and
+    # two at once near the spine vertex (L, L)) and past the outer knot
+    F = p2_family(t=math.exp(8.0), s=1.0)
+    L = F.L
+    rng = np.random.default_rng(12)
+    U = np.vstack([[[0.0, 0.0], [L - 0.6, 0.0], [L - 0.5, L - 0.5], [-2 * L, L + 0.5]],
+                   rng.uniform(-3 * L, 3 * L, (200, 2)),
+                   [L, L] + rng.uniform(-1.0, 1.0, (100, 2))])
+    TH = rng.uniform(-np.pi, np.pi, U.shape)
+    phis, grads = F.cutoff_states(U)
+    assert np.any(phis == 0.0) and np.any(phis == 1.0)
+    assert np.any((phis > 0.0) & (phis < 1.0))
+    one = [F.cutoff_states(u) for u in U]
+    assert np.array_equal(phis, [p for p, _ in one])
+    assert np.array_equal(grads, [g for _, g in one])
+    for s in (0.0, 1.0):
+        stacked = F.eval_scaled(U.reshape(4, -1, 2), TH.reshape(4, -1, 2), s)
+        rows = [F.eval_scaled(u, th, s) for u, th in zip(U, TH)]
+        for k, part in enumerate(stacked):
+            flat = part.reshape((len(U),) + part.shape[2:])
+            assert np.array_equal(flat, [r[k] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +388,47 @@ def test_sampler_degenerate_fibers_counted():
     res = amoeba_sample_curve(F, 3, (-1.0, 1.0, 4))
     assert res.degenerate_fibers == 2 * 4 * 3
     assert len(res.points) == 0
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_sampler_counts_every_dropped_root(s):
+    # on P^2 every fiber polynomial is a quadratic in the free variable, so
+    # each non-degenerate fiber yields two roots; each one is either emitted
+    # or counted under exactly one reason
+    F = p2_family(t=math.exp(8.0), s=s)
+    L = F.L
+    res = amoeba_sample_curve(F, 16, ((-3 * L, 3 * L, -3 * L, 3 * L), 40))
+    assert set(res.dropped) == {"non_finite", "newton", "window", "residual"}
+    roots = 2 * (2 * 16 * 40 - res.degenerate_fibers)
+    assert roots == len(res.points) + sum(res.dropped.values())
+    # the stacked margins are the per-witness margins
+    margins = symplectic_margin(F, (res.points, res.angles))
+    assert np.array_equal(margins, [symplectic_margin(F, w) for w in res.witnesses])
+
+
+def test_fiber_roots_match_np_roots():
+    # per effective degree: dead leading terms (|c| < 1e-300) stripped,
+    # degree 0 degenerate, degrees 1-2 in closed form, higher degrees exactly
+    # the companion eigenvalues of np.roots, exact zero roots last
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(60, 6)) + 1j * rng.normal(size=(60, 6))
+    rows[10:20, 4:] = 0.0
+    rows[20:30, 5] = 1e-310
+    rows[30:40, :2] = 0.0
+    rows[40:45, 1:] = 0.0
+    rows[45:50, 3:] = 0.0
+    rows[50:55, 2:] = 0.0
+    fiber, roots, degenerate = _fiber_roots(rows)
+    assert np.array_equal(np.flatnonzero(degenerate), np.arange(40, 45))
+    for i, c in enumerate(rows):
+        deg = max([k for k in range(6) if abs(c[k]) >= 1e-300], default=0)
+        got = roots[fiber == i]
+        assert len(got) == deg
+        if deg >= 3:
+            assert np.array_equal(got, np.roots(c[: deg + 1][::-1]))
+        elif deg:
+            expect = np.roots(c[: deg + 1][::-1])
+            assert np.allclose(np.sort_complex(got), np.sort_complex(expect), atol=1e-12)
 
 
 def test_rescaled_hausdorff_decreases():

@@ -25,6 +25,7 @@ from tropmirror.tropical import (
     HeightFunction,
     InvalidEps,
     NotTriangulation,
+    TropicalComplex,
     check_bundle_subdivision,
     choose_scale,
     complex_segments,
@@ -33,7 +34,6 @@ from tropmirror.tropical import (
     legendre_value,
     project_onto_halfspaces,
     regular_subdivision,
-    tropical_complex,
     tropical_constants,
 )
 
@@ -153,6 +153,13 @@ def test_interval_two_points():
     assert subd.is_triangulation and subd.is_maximal
 
 
+def test_height_function_rejects_non_integer_points():
+    # int() would read 1.5 as 1 and accept the string "1"
+    for bad in (1.5, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            HeightFunction(((0, 0), (bad, 0), (0, 1)), (0, 0, 0))
+
+
 def test_degenerate_support_raises():
     with pytest.raises(DegenerateSupport):
         regular_subdivision(HeightFunction(((0, 0), (1, 0)), (0, 0)))
@@ -238,7 +245,7 @@ def test_legendre_midpoint_convexity():
 # ---------------------------------------------------------------------------
 
 def test_p2_complex_counts_and_vertices():
-    cx = tropical_complex(p2_height())
+    cx = TropicalComplex(p2_height())
     verts = cx.vertices()
     assert sorted(v for v, _ in verts) == [(-2, 1), (1, -2), (1, 1)]
     # the vertex at (1,1) is dual to the cell conv{0, e1, e2}
@@ -252,7 +259,7 @@ def test_p2_complex_counts_and_vertices():
 
 
 def test_p2_origin_component_is_the_moment_polytope():
-    cx = tropical_complex(p2_height())
+    cx = TropicalComplex(p2_height())
     q = cx.moment_polytope()
     ref = polytope_from_bundle(P2_FAN, (1, 1, 1))
     assert q.same_set(ref)
@@ -260,7 +267,7 @@ def test_p2_origin_component_is_the_moment_polytope():
 
 def test_interval_complex():
     h = HeightFunction(((0,), (1,)), (0, 0))
-    cx = tropical_complex(h)
+    cx = TropicalComplex(h)
     assert len(cx.faces) == 1 and cx.faces[0].dim == 0
     assert face_geometry(cx.faces[0], 1) == ("point", (0,))
     assert len(cx.components) == 2
@@ -272,7 +279,7 @@ def test_interval_complex():
 
 def test_components_partition_and_duality():
     h = p2_height()
-    cx = tropical_complex(h)
+    cx = TropicalComplex(h)
     by_dual = {f.dual_indices: f for f in cx.faces}
     rng = random.Random(17)
     for _ in range(500):
@@ -295,7 +302,7 @@ def test_inactive_component_is_empty():
     # the origin is interior to the support triangle and lifted far above
     # the lower hull, so its component never wins the max
     h = HeightFunction(((0, 0), (1, 0), (0, 1), (-1, -1)), (50, 0, 0, 0))
-    cx = tropical_complex(h)
+    cx = TropicalComplex(h)
     assert [c.active for c in cx.components] == [False, True, True, True]
     dead = cx.components[0]
     rng = random.Random(19)
@@ -312,7 +319,7 @@ def test_nearest_point_at_a_vertex_is_exact():
     # the (-1,-1)-component of P^2: u1 + u2 <= -1, 2u1 + u2 <= 0, u1 + 2u2 <= 0.
     # From (1, 6) the worst plane's foot is infeasible and the nearest point
     # is the corner (-2, 1), where a capped iterative projection stops short
-    comp = tropical_complex(p2_height()).components[3]
+    comp = TropicalComplex(p2_height()).components[3]
     assert comp.point == (-1, -1)
     normals, bounds = comp.unit_halfspaces(1.0)
     y = project_onto_halfspaces((1.0, 6.0), normals, bounds)
@@ -337,7 +344,7 @@ def component_and_point(draw):
                            min_size=len(pts), max_size=len(pts)))
     h = HeightFunction(tuple(pts), tuple(values))
     try:
-        cx = tropical_complex(h)
+        cx = TropicalComplex(h)
     except DegenerateSupport:
         assume(False)
     active = [c for c in cx.components if c.active]
@@ -355,7 +362,8 @@ def test_nearest_point_beats_every_sampled_feasible_point(case, seed):
     feasible, and no feasible sample is nearer to x.  The samples are the
     component's vertices, points on the segments from y towards them (a
     point stopped short of a corner loses to these), Gaussian clouds
-    around y, and a box around x."""
+    around y, and a box around x.  A stack of x and every 50th sample is
+    answered as the same points one at a time, bit for bit."""
     (normals, bounds), verts, x = case
     y = project_onto_halfspaces(x, normals, bounds)
     assert np.max(normals @ y - bounds) <= 1e-9
@@ -369,6 +377,10 @@ def test_nearest_point_beats_every_sampled_feasible_point(case, seed):
     feasible = pts[np.all(pts @ normals.T - bounds <= 1e-12, axis=1)]
     if len(feasible):
         assert float(np.min(np.linalg.norm(feasible - x, axis=1))) >= d - 1e-9
+    # a stack of points is answered row by row, bit for bit
+    stack = np.vstack([x, pts[::50]])
+    assert np.array_equal(project_onto_halfspaces(stack, normals, bounds),
+                          [project_onto_halfspaces(p, normals, bounds) for p in stack])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +393,7 @@ P2_LOG_T = 375.15283240640287  # frozen: smallest feasible log-scale at eps=0.1
 
 
 def test_p2_constants():
-    k = tropical_constants(tropical_complex(p2_height()))
+    k = tropical_constants(TropicalComplex(p2_height()))
     assert k.N == 3
     assert abs(k.rho - GOLDEN) < 1e-9
     assert k.card_A == 4
@@ -401,7 +413,7 @@ def test_p2_constants():
 
 
 def test_interval_constants():
-    k = tropical_constants(tropical_complex(HeightFunction(((0,), (1,)), (0, 0))))
+    k = tropical_constants(TropicalComplex(HeightFunction(((0,), (1,)), (0, 0))))
     assert k.N == 1
     assert k.rho == 1.0
     assert abs(k.c_est - 0.5) < 1e-12
@@ -410,19 +422,19 @@ def test_interval_constants():
 def test_constants_need_a_triangulation():
     h = HeightFunction(((0, 0), (1, 0), (0, 1), (1, 1)), (0, 0, 0, 0))
     with pytest.raises(NotTriangulation):
-        tropical_constants(tropical_complex(h))
+        tropical_constants(TropicalComplex(h))
 
 
 def test_constants_invariance_under_affine_shifts():
     h = p2_height()
-    k = tropical_constants(tropical_complex(h))
+    k = tropical_constants(TropicalComplex(h))
     w = (2, -1)
     shifted_pts = tuple(tuple(p[i] + w[i] for i in range(2)) for p in h.points)
     # translate A and add an affine function to nu: combinatorics unchanged
     shifted_vals = tuple(
         v + 3 * p[0] - 2 * p[1] + 5 for p, v in zip(shifted_pts, h.values)
     )
-    k2 = tropical_constants(tropical_complex(HeightFunction(shifted_pts, shifted_vals)))
+    k2 = tropical_constants(TropicalComplex(HeightFunction(shifted_pts, shifted_vals)))
     assert k2.N == k.N
     assert abs(k2.rho - k.rho) < 1e-12
     assert abs(k2.c_est - k.c_est) < 0.05 * k.c_est
@@ -439,7 +451,7 @@ def oracle_scale_ok(k, eps, L):
 
 
 def test_choose_scale_p2():
-    k = tropical_constants(tropical_complex(p2_height()))
+    k = tropical_constants(TropicalComplex(p2_height()))
     t = choose_scale(k, 0.1)
     L = math.log(t)
     assert abs(L - P2_LOG_T) < 1e-4 * P2_LOG_T
@@ -450,7 +462,7 @@ def test_choose_scale_p2():
 
 
 def test_choose_scale_invalid_eps():
-    k = tropical_constants(tropical_complex(p2_height()))
+    k = tropical_constants(TropicalComplex(p2_height()))
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(InvalidEps):
             choose_scale(k, bad)
@@ -471,14 +483,14 @@ def _pi_cloud(cx, window, step=0.01):
 
 
 def test_hausdorff_self_is_tiny():
-    cx = tropical_complex(p2_height())
+    cx = TropicalComplex(p2_height())
     window = (-3.0, 3.0, -3.0, 3.0)
     cloud = _pi_cloud(cx, window)
     assert hausdorff_distance(cloud, cx, window) < 0.02
 
 
 def test_hausdorff_detects_a_shift():
-    cx = tropical_complex(p2_height())
+    cx = TropicalComplex(p2_height())
     window = (-3.0, 3.0, -3.0, 3.0)
     cloud = _pi_cloud(cx, window) + np.array([0.5, 0.0])
     d = hausdorff_distance(cloud, cx, window)
@@ -486,7 +498,7 @@ def test_hausdorff_detects_a_shift():
 
 
 def test_hausdorff_empty_window():
-    cx = tropical_complex(p2_height())
+    cx = TropicalComplex(p2_height())
     window = (-3.0, 3.0, -3.0, 3.0)
     cloud = _pi_cloud(cx, window)
     with pytest.raises(EmptyWindow):
