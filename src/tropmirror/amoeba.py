@@ -305,27 +305,27 @@ def eval_family(F: PatchworkFamily, z: Sequence[complex]):
 # lopsidedness
 # ---------------------------------------------------------------------------
 
-def lopsided_certificate(F: PatchworkFamily, u):
-    """Dominant exponent at u, if one survives the worst cutoff state.
+def lopsided_certificate(F: PatchworkFamily, u) -> np.ndarray:
+    """Index of the dominant term at each point of u (..., n), if it survives
+    the worst cutoff state, else -1; shape (...).
 
     Certifies u outside the amoeba for every s in [0,1]: the candidate term
     enters with its smallest possible coefficient 1 - phi_a(u) while every
-    other term is given its largest (1).  Returns the exponent or None.
+    other term is given its largest (1).  F.exponents_int[i] is the exponent
+    of index i.  Every row is computed exactly as it would be alone.
     """
     u = np.asarray(u, dtype=float)
-    m = F.exponents @ u - F.nu_log
-    mstar = float(np.max(m))
-    mags = np.abs(F.coefficients) * np.exp(m - mstar)
+    m = np.matmul(F.exponents, u[..., None])[..., 0] - F.nu_log
+    mags = np.abs(F.coefficients) * np.exp(m - np.max(m, axis=-1, keepdims=True))
     phis, _ = F.cutoff_states(u)
-    total = float(np.sum(mags))
-    i = int(np.argmax(mags))  # only the largest magnitude can dominate
-    lhs = (1.0 - phis[i]) * mags[i]
+    total = mags.sum(axis=-1)
+    i = np.argmax(mags, axis=-1)[..., None]  # only the largest magnitude can dominate
+    top = np.take_along_axis(mags, i, axis=-1)[..., 0]
+    lhs = (1.0 - np.take_along_axis(phis, i, axis=-1)[..., 0]) * top
     # the slack keeps the strict inequality honest under roundoff: points the
     # sampler accepts have scaled residual below 1e-10, so a certificate
     # demanding a relative margin of 1e-9 can never fire on one of them
-    if lhs > (total - mags[i]) + 1e-9 * total:
-        return F.exponents_int[i]
-    return None
+    return np.where(lhs > (total - top) + 1e-9 * total, i[..., 0], -1)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +528,8 @@ def exponential_decay_check(F: PatchworkFamily, samples: int) -> dict:
 
     For p in C_{beta,t} and every alpha with phi_alpha(p) != 0, checks
     |t^{-nu(a)} z^a| / |t^{-nu(b)} z^b| < exp(-c eps log t |a-b|_2), with c
-    the seed-0 c_est of F's complex; the sample points are drawn at seed 0.
+    the exact separation constant c_est of F's complex; the sample points
+    are drawn from a fixed seed (0).
     Points where phi_alpha(p) = 0 are vacuous and skipped.
     """
     c = tropical_constants(F.complex).c_est

@@ -9,8 +9,10 @@ One binary, subcommand dispatch::
 All figures and tables are emitted artifacts (no interactive mode), and the
 emission is deterministic: rationals are serialized as "p/q" strings
 end-to-end, floats in shortest round-trip decimal, JSON with sorted keys,
-and nothing writes a timestamp, so identical configuration + seed gives
-byte-identical output files.  Everything runs on a single thread.
+and nothing writes a timestamp, so identical configuration gives
+byte-identical output files.  No output depends on --seed: the flag is
+accepted and ignored, and stays only until the benchmark stops passing it.
+Everything runs on a single thread.
 
 Exit codes: 0 success, 1 malformed input or invalid parameters, 2 domain
 error (non-convex support function, unbounded/degenerate polytope), 3
@@ -92,7 +94,7 @@ class JobConfig:
     J: int = 3
     grid: int = 40
     window: tuple = (-3.0, 3.0, -3.0, 3.0)
-    seed: int = 0
+    seed: int = 0                # accepted and ignored (see --seed)
 
     def validate(self) -> None:
         if self.t is not None and not (math.isfinite(self.t) and self.t > 1.0):
@@ -198,7 +200,7 @@ def cmd_subdivide(config: JobConfig) -> int:
 
 
 def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
-    consts = tropical_constants(cx, seed=config.seed)
+    consts = tropical_constants(cx)
     t_star = choose_scale(consts, config.eps)
     Q = cx.moment_polytope()
     return {
@@ -316,7 +318,7 @@ def cmd_amoeba(config: JobConfig) -> int:
     if config.t is not None:
         t = config.t
     else:
-        t = choose_scale(tropical_constants(cx, seed=config.seed), config.eps)
+        t = choose_scale(tropical_constants(cx), config.eps)
     # the mirror potential's coefficients: -1 at the origin, +1 at every ray
     F = PatchworkFamily(cx, t=t, s=config.s, eps=config.eps,
                         coefficients=[-1.0] + [1.0] * len(fan.rays))
@@ -452,7 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=_parse_window, default=(-3.0, 3.0, -3.0, 3.0),
                        metavar="x0,x1,y0,y1", help="rescaled plot/report window")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for the stochastic constant estimation")
+                       help="accepted and ignored: no output depends on it (the certified "
+                       "scale is computed exactly); kept only until the benchmark "
+                       "stops passing it")
     return parser
 
 

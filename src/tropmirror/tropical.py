@@ -3,12 +3,14 @@
 The combinatorial half of this module (lower-hull subdivision, Legendre
 transform, faces and complement components of the tropical hypersurface) is
 exact over Q: facet coplanarity is decided by rational elimination and no
-epsilon ever enters.  The quantitative half (distortion constants, the
-patchworking scale, Hausdorff distances between point clouds and the
-complex) is numerical by nature and uses floats; no combinatorial decision
-depends on a float.  The nearest point of a component to a float point is
-exact up to roundoff, not iterated: project_onto_halfspaces enumerates
-candidate active sets and raises rather than return an unconverged point.
+epsilon ever enters.  So is the separation constant behind the certified
+scale: its square is rational, and only its square root is taken in floats.
+The rest of the quantitative half (distortion constants, the patchworking
+scale, Hausdorff distances between point clouds and the complex) is
+numerical by nature and uses floats; no combinatorial decision depends on a
+float.  The nearest point of a component to a float point is exact up to
+roundoff, not iterated: project_onto_halfspaces enumerates candidate active
+sets and raises rather than return an unconverged point.
 """
 
 from __future__ import annotations
@@ -417,7 +419,7 @@ def face_geometry(face: TropicalFace, n: int):
 
 
 # ---------------------------------------------------------------------------
-# quantitative constants (floats from here on)
+# quantitative constants
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -470,18 +472,18 @@ def project_onto_halfspaces(x0, normals, bounds):
     return out.reshape(x.shape)
 
 
-def tropical_constants(cx: TropicalComplex, seed: int = 0) -> TropicalConstants:
-    """Norm bound N, distortion bound rho, and the sampled separation c_est.
+def tropical_constants(cx: TropicalComplex) -> TropicalConstants:
+    """Norm bound N, distortion bound rho, and the separation constant c_est.
 
     N is the maximum l1 norm over subdivision edge differences and over the
     support points themselves.  rho bounds the length distortion of the
     affine chart of each simplex (max of the two operator norms).  c_est is
-    half the smallest sampled ratio d(p, H(alpha,beta)) / d(p, C_alpha)
-    over points p in C_beta at offset eps' = 1e-3 * diameter from C_alpha;
-    halving keeps the estimate on the safe side of the sampling error.  The
-    points are sampled; the nearest point of C_alpha to each sample is exact
-    (project_onto_halfspaces).  All of it is read from the complex cx and
-    its subdivision.
+    the separation constant, exact up to one rounding to a float: half the
+    smallest ratio <h, r> / d(r, T(C_alpha)) over the vertex cones of Pi
+    (see _separation_squared).  It depends on the subdivision alone, so no
+    seed or sample enters.  diameter is the largest distance between two
+    vertices of Pi (0 for fewer than two).  All of it is read from the
+    complex cx and its subdivision.
     """
     h = cx.height
     subd = cx.subdivision
@@ -511,43 +513,68 @@ def tropical_constants(cx: TropicalComplex, seed: int = 0) -> TropicalConstants:
     verts = [np.array([float(x) for x in v], dtype=float) for v, _ in cx.vertices()]
     diam = max((float(np.linalg.norm(a - b)) for a, b in itertools.combinations(verts, 2)),
                default=0.0)
-    if diam < 1e-9:
-        diam = 1.0
-    center = np.mean(verts, axis=0) if verts else np.zeros(n)
-
-    rng = np.random.default_rng(seed)
-    samples = 256  # per ordered pair of adjacent components
-    eps_off = 1e-3 * diam
-    ratios: list[float] = []
-    for ia, ib in cx.adjacent_component_pairs():
-        for a_idx, b_idx in ((ia, ib), (ib, ia)):
-            ca, cb = cx.components[a_idx], cx.components[b_idx]
-            na, ba = ca.unit_halfspaces(1.0)
-            nb, bb = cb.unit_halfspaces(1.0)
-            hvec = np.array(
-                [float(ca.point[k] - cb.point[k]) for k in range(n)], dtype=float
-            )
-            hrhs = float(Fraction(h.values[a_idx]) - Fraction(h.values[b_idx]))
-            hnorm = float(np.linalg.norm(hvec))
-            got = 0
-            attempts = 0
-            while got < samples and attempts < samples * 60:
-                attempts += 1
-                x = center + rng.uniform(-1.5 * diam, 1.5 * diam, size=n)
-                if np.any(nb @ x - bb > 1e-12):
-                    continue  # not in C_beta
-                q = project_onto_halfspaces(x, na, ba)
-                d_alpha = float(np.linalg.norm(x - q))
-                if d_alpha < 1e-9:
-                    continue
-                p = q + (x - q) * (eps_off / d_alpha)
-                if np.any(nb @ p - bb > 1e-9):
-                    continue  # left C_beta while stepping toward C_alpha
-                d_h = abs(float(hvec @ p) - hrhs) / hnorm
-                ratios.append(d_h / eps_off)
-                got += 1
-    c_est = 0.5 * min(ratios) if ratios else 0.5
+    c_est = 0.5 * math.sqrt(_separation_squared(cx))
     return TropicalConstants(N, rho, c_est, len(A), diam)
+
+
+def _separation_squared(cx: TropicalComplex) -> Fraction:
+    """Square of min <h, r> / d(r, T(C_alpha)), exactly; 1 if no ray is met.
+
+    The minimum runs over ordered adjacent pairs (alpha, beta), the minimal
+    faces of C_alpha and C_beta (vertices of Pi: A spans R^n affinely, so
+    no component has lineality), and the extreme rays r of the tangent cone
+    T(C_beta) at the vertex with r off H(alpha, beta); h is the unit normal
+    of H into C_beta.  The maximum of the convex d(., T(C_alpha)) over the
+    slice {<h, .> = 1} of T(C_beta) sits at one of these rays, and the
+    slice's recession directions lie in T(C_alpha), so the rays suffice.
+
+    At a vertex with dual cell S (a simplex), T(C_x) = {r : <A_j - A_x, r>
+    <= 0 for j in S, j != x}, so the extreme rays of T(C_beta) keep all but
+    one row tight.  Every ray that keeps the alpha row tight lies in H; the
+    one left loosens exactly that row, to <A_alpha - A_beta, r> = -1, so
+    <A_beta - A_alpha, r> = 1 and the squared ratio is 1 / (|A_beta -
+    A_alpha|^2 d^2(r, T(C_alpha))).
+    """
+    A = cx.height.points
+    n = cx.n
+
+    def cone_rows(S, x):
+        return [[A[j][k] - A[x][k] for k in range(n)] for j in S if j != x]
+
+    best = Fraction(1)
+    cells = [f.dual_indices for f in cx.faces if f.dim == 0]
+    for i, j in cx.adjacent_component_pairs():
+        for a, b in ((i, j), (j, i)):
+            hh = sum((A[b][k] - A[a][k]) ** 2 for k in range(n))
+            for S in cells:
+                if a not in S or b not in S:
+                    continue
+                r = solve_square(cone_rows(S, b), [-int(x == a) for x in S if x != b])
+                best = min(best, 1 / (hh * _cone_distance_squared(r, cone_rows(S, a))))
+    return best
+
+
+def _cone_distance_squared(r: Vec, rows) -> Fraction:
+    """Squared distance from r to the cone {y : <row, y> <= 0 for each row},
+    exactly.  The nearest point is y = r - sum lam_i row_i, the projection
+    of r onto the orthogonal complement of its active rows, so every set of
+    rows is tried and the nearest feasible projection wins, as
+    project_onto_halfspaces does in floats.  A set with a singular Gram
+    matrix is skipped: a linearly independent subset spans the same
+    complement.  Everything is read from the Gram matrix and <row, r>."""
+    gram = [[dot(p, q) for q in rows] for p in rows]
+    rr = [dot(p, r) for p in rows]
+    feasible = []
+    for size in range(len(rows) + 1):
+        for act in itertools.combinations(range(len(rows)), size):
+            lam = solve_square([[gram[i][j] for j in act] for i in act], [rr[i] for i in act])
+            if lam is None:
+                continue
+            if all(rr[k] <= sum(l * gram[k][i] for l, i in zip(lam, act))
+                   for k in range(len(rows))):
+                # |sum lam_i row_i|^2 = lam . Gram lam = lam . rr
+                feasible.append(sum(l * rr[i] for l, i in zip(lam, act)))
+    return min(feasible)
 
 
 def choose_scale(k: TropicalConstants, eps: float) -> float:

@@ -422,10 +422,8 @@ def test_criterion_09_certificates():
         F = PatchworkFamily.from_fan(P2_FAN, P2_PHI, t=t, s=s)
         res = amoeba_sample_curve(F, args, ((-window, window, -window, window), radii))
         assert len(res.points) > floor, (s, len(res.points))
-        for u in res.points:
-            if lopsided_certificate(F, u) is not None:
-                contradictions += 1
-            points_checked += 1
+        contradictions += int(np.count_nonzero(lopsided_certificate(F, res.points) >= 0))
+        points_checked += len(res.points)
     assert contradictions == 0
 
     F = PatchworkFamily.from_fan(P2_FAN, P2_PHI, t=t, s=1.0)

@@ -303,13 +303,29 @@ def test_stacked_evaluation_matches_single_points():
 
 def test_lopsided_fixtures():
     F = p2_family(t=math.e, s=1.0)
-    assert lopsided_certificate(F, (10.0, 0.0)) == (1, 0)
+    assert F.exponents_int[lopsided_certificate(F, (10.0, 0.0))] == (1, 0)
     # at the origin the constant term dominates once t is large enough
-    assert lopsided_certificate(p2_family(t=5.0, s=1.0), (0.0, 0.0)) == (0, 0)
-    assert lopsided_certificate(p2_family(t=2.5, s=1.0), (0.0, 0.0)) is None
+    F5 = p2_family(t=5.0, s=1.0)
+    assert F5.exponents_int[lopsided_certificate(F5, (0.0, 0.0))] == (0, 0)
+    assert lopsided_certificate(p2_family(t=2.5, s=1.0), (0.0, 0.0)) == -1
     # a spine vertex has three balanced terms: never lopsided
     F8 = p2_family(t=math.exp(8.0), s=1.0)
-    assert lopsided_certificate(F8, (8.0, 8.0)) is None
+    assert lopsided_certificate(F8, (8.0, 8.0)) == -1
+
+
+def test_lopsided_stack_equals_single_points():
+    # sampler points (never certified) and a grid (mostly certified), as a
+    # (K, 2) stack and as a (2, K/2, 2) stack, bit for bit
+    F = p2_family(t=math.exp(8.0), s=1.0)
+    L = F.L
+    res = amoeba_sample_curve(F, 8, ((-3 * L, 3 * L, -3 * L, 3 * L), 12))
+    xs = np.linspace(-3 * L, 3 * L, 15)
+    grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    U = np.vstack([res.points, grid])[:400]
+    one = np.array([lopsided_certificate(F, u) for u in U])
+    assert np.array_equal(lopsided_certificate(F, U), one)
+    assert np.array_equal(lopsided_certificate(F, U.reshape(2, -1, 2)), one.reshape(2, -1))
+    assert (one == -1).any() and (one >= 0).any()
 
 
 def test_certified_disjointness_on_grid():
@@ -321,14 +337,10 @@ def test_certified_disjointness_on_grid():
     segs = [(np.array(a) * L, np.array(b) * L)
             for a, b in complex_segments(F.complex, (-7.0, 7.0, -7.0, 7.0))]
     xs = np.linspace(-3 * L, 3 * L, 41)
-    checked = 0
-    for ux in xs:
-        for uy in xs:
-            u = np.array([ux, uy])
-            if oracle_segment_distance(u, segs)[0] >= eps * L:
-                checked += 1
-                assert lopsided_certificate(F, u) is not None
-    assert checked > 1000
+    far = np.array([(ux, uy) for ux in xs for uy in xs
+                    if oracle_segment_distance(np.array([ux, uy]), segs)[0] >= eps * L])
+    assert len(far) > 1000
+    assert np.all(lopsided_certificate(F, far) >= 0)
 
 
 def test_sampler_never_contradicts_certificate():
@@ -337,8 +349,7 @@ def test_sampler_never_contradicts_certificate():
         L = F.L
         res = amoeba_sample_curve(F, 16, ((-3 * L, 3 * L, -3 * L, 3 * L), 40))
         assert len(res.points) > 500
-        for u in res.points:
-            assert lopsided_certificate(F, u) is None
+        assert np.all(lopsided_certificate(F, res.points) == -1)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,26 @@ def test_amoeba_margins_positive_at_certified_scale(tmp_path):
     assert all(float(r.split(",")[0]) > 0.0 for r in hist[1:])
 
 
+def test_seed_changes_no_output(tmp_path):
+    # --seed is accepted and ignored: the certified scale is computed
+    # exactly, so tropical.json and an amoeba run at that scale are the same
+    # bytes under any seed
+    fan = write_fan(tmp_path, P2)
+    runs = {
+        "tropical": (["tropical"], ("tropical.json",)),
+        "amoeba": (["amoeba", "--grid", "8"],
+                   ("cloud.csv", "hausdorff.json", "margins.csv", "overlay.svg")),
+    }
+    for command, (args, files) in runs.items():
+        outs = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"{command}-{seed}"
+            assert main(args + ["--input", fan, "--seed", seed, "--out", str(out)]) == 0
+            outs.append(out)
+        for fname in files:
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------

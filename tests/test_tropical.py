@@ -388,8 +388,8 @@ def test_nearest_point_beats_every_sampled_feasible_point(case, seed):
 # ---------------------------------------------------------------------------
 
 GOLDEN = (1 + math.sqrt(5)) / 2
-P2_C_EST = 0.15891798097731705  # frozen: seed-0 sampling, see oracle below
-P2_LOG_T = 375.15283240640287  # frozen: smallest feasible log-scale at eps=0.1
+P2_C_EST = 0.15811388300841897  # frozen: 0.5 / sqrt(10), derived below
+P2_LOG_T = 377.0607913926858  # frozen: smallest feasible log-scale at eps=0.1
 
 
 def test_p2_constants():
@@ -405,11 +405,21 @@ def test_p2_constants():
         s = np.linalg.svd(m, compute_uv=False)
         rho = max(rho, s[0], 1 / s[-1])
     assert abs(k.rho - rho) < 1e-12
-    # the separation estimate: worst sampled corner ratio is 1/sqrt(10)
-    # (component of the origin against the (-1,-1)-component, approached at
-    # the corners (1,-2) and (-2,1)); halving gives ~0.158
+    # the separation constant: the worst ratio is 1/sqrt(10), for the
+    # component of the origin (alpha = (0,0), C_alpha = {u1 <= 1, u2 <= 1,
+    # u1 + u2 >= -1}) against the (-1,-1)-component (beta, C_beta =
+    # {u1 + u2 <= -1, 2u1 + u2 <= 0, u1 + 2u2 <= 0}) at the corner (1,-2),
+    # and symmetrically at (-2,1).  There T(C_beta) = {r1 + r2 <= 0,
+    # 2r1 + r2 <= 0} has the extreme rays (-1,1), which runs along H =
+    # {u1 + u2 = -1}, and r = (1,-2), with <h, r> = 1/sqrt(2) for the unit
+    # normal h = -(1,1)/sqrt(2) of H into C_beta.
+    # T(C_alpha) = {r1 <= 0, r1 + r2 >= 0} has the polar cone spanned by
+    # (1,0) and (-1,-1), which contains r = 3(1,0) + 2(-1,-1), so the
+    # nearest point of T(C_alpha) to r is 0 and d(r, T(C_alpha)) = sqrt(5).
+    # The ratio is (1/sqrt(2)) / sqrt(5) = 1/sqrt(10); halving gives c.
     assert 0.5 / math.sqrt(10) - 1e-9 <= k.c_est <= 0.20
-    assert abs(k.c_est - P2_C_EST) < 1e-12  # deterministic at the default seed
+    assert abs(k.c_est - 0.5 / math.sqrt(10)) < 1e-15
+    assert abs(k.c_est - P2_C_EST) < 1e-12
 
 
 def test_interval_constants():
@@ -437,7 +447,70 @@ def test_constants_invariance_under_affine_shifts():
     k2 = tropical_constants(TropicalComplex(HeightFunction(shifted_pts, shifted_vals)))
     assert k2.N == k.N
     assert abs(k2.rho - k.rho) < 1e-12
-    assert abs(k2.c_est - k.c_est) < 0.05 * k.c_est
+    assert k2.c_est == k.c_est  # exact: a function of the subdivision alone
+
+
+def sampled_separation_ratios(cx, rng, draws=1024):
+    """The Monte-Carlo estimate the exact constant replaced, as an oracle.
+
+    For each ordered adjacent pair (alpha, beta): points x drawn in a box
+    around the vertices of Pi and kept when in C_beta, their nearest points
+    q in C_alpha, and p = q + eps' (x - q) / |x - q| kept when still in
+    C_beta, at eps' = 1e-3 * diameter; each p gives the ratio
+    d(p, H(alpha, beta)) / eps'."""
+    n = cx.n
+    verts = [np.array([float(x) for x in v]) for v, _ in cx.vertices()]
+    diam = max((float(np.linalg.norm(a - b)) for a, b in itertools.combinations(verts, 2)),
+               default=0.0) or 1.0
+    center = np.mean(verts, axis=0)
+    eps_off = 1e-3 * diam
+    A, nu = cx.height.points, cx.height.values
+    ratios = []
+    for i, j in cx.adjacent_component_pairs():
+        for a, b in ((i, j), (j, i)):
+            na, ba = cx.components[a].unit_halfspaces(1.0)
+            nb, bb = cx.components[b].unit_halfspaces(1.0)
+            h = np.array([float(A[a][k] - A[b][k]) for k in range(n)])
+            x = center + rng.uniform(-1.5 * diam, 1.5 * diam, size=(draws, n))
+            x = x[np.all(x @ nb.T - bb <= 1e-12, axis=1)]
+            q = project_onto_halfspaces(x, na, ba)
+            d = np.linalg.norm(x - q, axis=1)
+            x, q, d = x[d >= 1e-9], q[d >= 1e-9], d[d >= 1e-9]
+            p = q + (x - q) * (eps_off / d)[:, None]
+            p = p[np.all(p @ nb.T - bb <= 1e-9, axis=1)]
+            d_h = np.abs(p @ h - float(nu[a] - nu[b])) / np.linalg.norm(h)
+            ratios.append(d_h / eps_off)
+    return np.concatenate(ratios)
+
+
+@st.composite
+def triangulating_height(draw):
+    """A random height function (n = 1, 2, 3) whose subdivision is a
+    triangulation."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3,
+                        unique=True))
+    values = draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                           min_size=len(pts), max_size=len(pts)))
+    try:
+        cx = TropicalComplex(HeightFunction(tuple(pts), tuple(values)))
+    except DegenerateSupport:
+        assume(False)
+    assume(cx.subdivision.is_triangulation)
+    return cx
+
+
+@settings(max_examples=40, deadline=None)
+@given(triangulating_height(), st.integers(0, 2**32 - 1))
+def test_no_sampled_ratio_below_the_exact_separation(cx, seed):
+    """The exact constant is a lower bound the old sampler can only
+    approach: no ratio d(p, H) / d(p, C_alpha) it draws falls below 2 c
+    (up to roundoff in the sampled ratio)."""
+    exact = 2.0 * tropical_constants(cx).c_est
+    ratios = sampled_separation_ratios(cx, np.random.default_rng(seed))
+    assert len(ratios) > 0
+    assert float(np.min(ratios)) >= exact * (1.0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------
