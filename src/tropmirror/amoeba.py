@@ -12,7 +12,10 @@ invariant metric |dz_j| = |z_j| becomes the Euclidean one.  (The sampler's
 starting roots are still solved in raw coordinates; see amoeba_sample_curve.)
 Evaluation, cutoffs, nearest points and margins take stacks of points of
 shape (..., n), a single point being the (n,) case, and compute every row
-exactly as they would compute it alone.
+exactly as they would compute it alone.  Evaluation has two halves: the
+terms and cutoff states, which depend on the point alone, and their
+combination at a deformation parameter s.  The sampler's continuation keeps
+the first half per root and recomputes it only for roots that moved.
 """
 
 from __future__ import annotations
@@ -54,6 +57,17 @@ def _libm(fn, *args) -> np.ndarray:
     """fn (a libm function: math.exp, pow, ...) elementwise as float64; numpy's
     vectorised versions may round the last bit differently."""
     return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+
+
+def _exp(x) -> np.ndarray:
+    """_libm(math.exp, x), but inf where the result overflows a double."""
+    def exp(v):
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+    with np.errstate(over="ignore"):
+        return _libm(exp, x)
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -251,28 +265,43 @@ class PatchworkFamily:
         hats.  Norms in the invariant metric are plain 2-norms of the hats
         (times e^{mstar}).  s overrides the family parameter (used by the
         continuation; the family itself is never mutated).
+
+        This is _combine after _terms: the part that depends on the point
+        alone, then the part that depends on s.  Callers that revisit a point
+        at several s (the continuation) keep the first and redo the second.
         """
         if s is None:
             s = self.s
+        mstar, T, phis, grads = self._terms(u, theta, s != 0.0)
+        return (mstar,) + self._combine(T, phis, grads, s)
+
+    def _terms(self, u, theta, cutoffs: bool):
+        """(mstar, T, phis, grads) at u, theta (..., n): the largest term
+        log-magnitude, the terms T (..., m) with e^{mstar} factored out, and
+        the cutoff states of cutoff_states(u), or None, None without cutoffs."""
         u = np.asarray(u, dtype=float)
         theta = np.asarray(theta, dtype=float)
         m = np.matmul(self.exponents, u[..., None])[..., 0] - self.nu_log
         mstar = np.max(m, axis=-1)
         mag = np.exp(m - mstar[..., None])
         phase = np.exp(1j * np.matmul(self.exponents, theta[..., None])[..., 0])
-        T = self.coefficients * mag * phase
+        phis, grads = self.cutoff_states(u) if cutoffs else (None, None)
+        return mstar, self.coefficients * mag * phase, phis, grads
+
+    def _combine(self, T, phis, grads, s: float):
+        """(value_hat, del_hat, delbar_hat) of eval_scaled at s from the
+        output of _terms; at s = 0 the cutoff states are not read."""
         if s == 0.0:
             B = np.ones(T.shape)
             grads = np.zeros(T.shape + (self.n,))
         else:
-            phis, grads = self.cutoff_states(u)
             B = 1.0 - s * phis
         TB = T * B
         # one dot product per point and coordinate: T @ (column j of grads)
         cut = 0.5 * s * np.matmul(T[..., None, None, :],
                                   np.swapaxes(grads, -1, -2)[..., None])[..., 0, 0]
         del_hat = (TB[..., None, :] * self.exponents.T).sum(axis=-1) - cut
-        return mstar, TB.sum(axis=-1), del_hat, -cut
+        return TB.sum(axis=-1), del_hat, -cut
 
     def surviving_terms(self, u) -> tuple:
         """Exponents whose cutoff has not fully killed the term (phi < 1)."""
@@ -388,7 +417,12 @@ def _fiber_roots(coeffs: np.ndarray):
     return fiber[order], np.concatenate(roots)[order], deg == 0
 
 
-def _newton_continuation(F: PatchworkFamily, free, u, theta, z) -> np.ndarray:
+def _rows(state, rows) -> tuple:
+    """The given rows of every array of a _terms state (None stays None)."""
+    return tuple(None if a is None else a[rows] for a in state)
+
+
+def _newton_continuation(F: PatchworkFamily, free, u, theta, z):
     """Carry each root z (one per row) from s = 0 to F.s: 16 equal s-steps
     if F.s > 0, then a refine at F.s, each at most 12 masked Newton steps.
 
@@ -397,18 +431,38 @@ def _newton_continuation(F: PatchworkFamily, free, u, theta, z) -> np.ndarray:
     at scaled |f| < 1e-12, or < 1e-10 after 12 steps, and fails on a zero or
     non-finite iterate or a singular system.  The step dz = |z| w solves
     dF/e^{mstar} = a w + b conj(w), a = del_hat e^{-i theta}, b = delbar_hat
-    e^{i theta} (free components).  Returns the mask of rows that made it.
+    e^{i theta} (free components).
+
+    Only a row whose z has moved since its last evaluation is evaluated
+    afresh (F._terms: log coordinates, terms and cutoff states, none of which
+    depend on s); every live row is then combined at the stage's s
+    (F._combine), so a row that passed one stage starts the next without
+    being recomputed.  A stage ends when no row is live.  Returns the mask of
+    rows that made it and the per-row _terms state (mstar, T, phis, grads)
+    at the final u, theta, which F._combine turns into values at F.s.
     """
-    ok = np.ones(len(z), dtype=bool)
-    stages = [float(s) for s in np.linspace(0.0, F.s, 17)[1:]] if F.s > 0.0 else []
+    N, m, cutoffs = len(z), len(F.coefficients), F.s > 0.0
+    ok, moved = np.ones(N, dtype=bool), np.ones(N, dtype=bool)
+    state = (np.zeros(N), np.zeros((N, m), dtype=complex),
+             np.zeros((N, m)) if cutoffs else None,
+             np.zeros((N, m, F.n)) if cutoffs else None)
+    stages = [float(s) for s in np.linspace(0.0, F.s, 17)[1:]] if cutoffs else []
     for s in stages + [F.s]:
         live = np.flatnonzero(ok)
         for it in range(13):
             bad = ~np.isfinite(z[live]) | (z[live] == 0)
             ok[live[bad]] = False
             live = live[~bad]
-            u[live, free[live]], theta[live, free[live]] = _log_coords(z[live])
-            _, val, dh, dbh = F.eval_scaled(u[live], theta[live], s)
+            if not len(live):
+                break
+            fresh = live[moved[live]]
+            if len(fresh):
+                u[fresh, free[fresh]], theta[fresh, free[fresh]] = _log_coords(z[fresh])
+                for a, new in zip(state, F._terms(u[fresh], theta[fresh], cutoffs)):
+                    if a is not None:
+                        a[fresh] = new
+                moved[fresh] = False
+            val, dh, dbh = F._combine(*_rows(state[1:], live), s)
             res = np.hypot(val.real, val.imag)
             if it == 12:  # out of steps: the looser tolerance decides
                 ok[live[~(res < 1e-10)]] = False
@@ -431,7 +485,8 @@ def _newton_continuation(F: PatchworkFamily, free, u, theta, z) -> np.ndarray:
             dz.real, dz.imag = w[:, 0], w[:, 1]
             with np.errstate(over="ignore", invalid="ignore"):  # caught by the next check
                 z[live] = z[live] + np.hypot(z[live].real, z[live].imag) * dz
-    return ok
+            moved[live] = True
+    return ok, state
 
 
 @dataclass
@@ -465,7 +520,9 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     and roots are lost.  Each lost root is counted in `dropped` by its first
     reason: `non_finite` (solver gave 0 or non-finite), `newton`
     (continuation failed), `window` (outside the window), `residual` (final
-    |f| non-finite or above 1e-8).
+    |f| non-finite or above 1e-8; |f| = e^{mstar} |f_hat| is taken as
+    infinite where e^{mstar} overflows).  The final |f| is combined at F.s
+    from the terms the continuation kept, not evaluated again.
     """
     if F.n != 2:
         raise ValueError("fiber sampling is implemented for n = 2")
@@ -483,11 +540,13 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     k, axis = np.arange(len(z)), axis[fiber]
     u, theta = np.zeros((len(z), 2)), np.zeros((len(z), 2))
     u[k, axis], theta[k, axis] = u_fix[fiber], th_fix[fiber]
-    ok = _newton_continuation(F, 1 - axis, u, theta, z)
+    ok, state = _newton_continuation(F, 1 - axis, u, theta, z)
     uf = u[k, 1 - axis]
     inside = ok & (windows[1 - axis, 0] <= uf) & (uf <= windows[1 - axis, 1])
-    mstar, val, _, _ = F.eval_scaled(u[inside], theta[inside])
-    residuals = _libm(math.exp, mstar) * np.hypot(val.real, val.imag)
+    mstar, *rest = _rows(state, inside)
+    val = F._combine(*rest, F.s)[0]
+    with np.errstate(invalid="ignore"):  # e^{mstar} = inf times 0 is non-finite: dropped
+        residuals = _exp(mstar) * np.hypot(val.real, val.imag)
     good = np.isfinite(residuals) & (residuals <= 1e-8)
     dropped = {reason: int(np.count_nonzero(mask)) for reason, mask in (
         ("non_finite", ~found), ("newton", ~ok), ("window", ok & ~inside), ("residual", ~good))}
@@ -511,8 +570,9 @@ def symplectic_margin(F: PatchworkFamily, z):
     else:
         u, theta = (np.asarray(w, dtype=float) for w in z)
     mstar, val, dh, dbh = F.eval_scaled(u, theta)
-    scale = _libm(math.exp, mstar)
-    residual = np.ravel(scale * np.hypot(val.real, val.imag))
+    scale = _exp(mstar)
+    with np.errstate(invalid="ignore"):  # inf times 0 is a nan residual: refused
+        residual = np.ravel(scale * np.hypot(val.real, val.imag))
     off = residual[~(residual < 1e-8)]
     if len(off):
         raise NotOnZeroLocus(f"residual {float(off[0])!r} exceeds 1e-8")

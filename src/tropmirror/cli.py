@@ -62,6 +62,7 @@ from .tropical import (
     InvalidEps,
     NotTriangulation,
     TropicalComplex,
+    certified_log_scale,
     choose_scale,
     complex_segments,
     hausdorff_distance,
@@ -201,7 +202,11 @@ def cmd_subdivide(config: JobConfig) -> int:
 
 def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
     consts = tropical_constants(cx)
-    t_star = choose_scale(consts, config.eps)
+    log_t_star = certified_log_scale(consts, config.eps)
+    try:
+        t_star = choose_scale(consts, config.eps)
+    except InvalidEps:  # t* is no double; the report keeps its finite log
+        t_star = None
     Q = cx.moment_polytope()
     return {
         "n": cx.n,
@@ -239,7 +244,7 @@ def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
             "card_A": consts.card_A,
             "diameter": consts.diameter,
         },
-        "scale": {"eps": config.eps, "t_star": t_star, "log_t_star": math.log(t_star)},
+        "scale": {"eps": config.eps, "t_star": t_star, "log_t_star": log_t_star},
     }
 
 

@@ -577,25 +577,29 @@ def _cone_distance_squared(r: Vec, rows) -> Fraction:
     return min(feasible)
 
 
-def choose_scale(k: TropicalConstants, eps: float) -> float:
-    """Smallest t with both decay inequalities satisfied, by bisection on log t.
+def _scale_ok(k: TropicalConstants, eps: float, L: float) -> bool:
+    """Both decay inequalities of certified_log_scale at log t = L."""
+    e = math.exp(-k.c_est * eps * L)
+    return (e / (eps * L) < 1.0 / (40.0 * k.card_A * k.rho)
+            and e < 1.0 / (5.0 * k.card_A**2 * k.rho * k.N))
+
+
+def certified_log_scale(k: TropicalConstants, eps: float) -> float:
+    """Smallest log t with both decay inequalities satisfied, by bisection.
 
     The two conditions (with L = log t, c = c_est):
         (e-2)  exp(-c*eps*L) / (eps*L)  <  1 / (40*|A|*rho)
         (e-3)  exp(-c*eps*L)            <  1 / (5*|A|^2*rho*N)
-    Both sides are monotone in L, so the feasible set is a half-line; the
-    returned t is verified against both inequalities before returning.
+    Both sides are monotone in L, so the feasible set is a half-line.  The
+    value is finite even where t itself is not a double (log t > 709).
     """
     if not (eps > 0) or not math.isfinite(eps):
         raise InvalidEps(f"eps must be positive and finite, got {eps}")
     if k.c_est <= 0:
         raise InvalidEps("separation constant must be positive")
-    bound2 = 1.0 / (40.0 * k.card_A * k.rho)
-    bound3 = 1.0 / (5.0 * k.card_A**2 * k.rho * k.N)
 
     def ok(L: float) -> bool:
-        e = math.exp(-k.c_est * eps * L)
-        return e / (eps * L) < bound2 and e < bound3
+        return _scale_ok(k, eps, L)
 
     hi = 1.0
     while not ok(hi):
@@ -613,11 +617,17 @@ def choose_scale(k: TropicalConstants, eps: float) -> float:
             hi = mid
         else:
             lo = mid
-    hi *= 1.0 + 1e-9  # stay strictly feasible through the exp/log round trip
-    if hi > 709.0:
+    return hi * (1.0 + 1e-9)  # stay strictly feasible through the exp/log round trip
+
+
+def choose_scale(k: TropicalConstants, eps: float) -> float:
+    """t* = exp(certified_log_scale(k, eps)), verified against both decay
+    inequalities; InvalidEps when log t* exceeds 709 and t* is no double."""
+    L = certified_log_scale(k, eps)
+    if L > 709.0:
         raise InvalidEps("required scale exceeds double precision; eps too small")
-    t = math.exp(hi)
-    assert ok(math.log(t))
+    t = math.exp(L)
+    assert _scale_ok(k, eps, math.log(t))
     return t
 
 

@@ -27,7 +27,11 @@ from tropmirror.amoeba import (
     NoCrossing,
     NotOnZeroLocus,
     PatchworkFamily,
+    _cmul,
+    _fiber_coefficients,
     _fiber_roots,
+    _log_coords,
+    _newton_continuation,
     amoeba_sample_curve,
     boundary_sphere_sample,
     cutoff,
@@ -417,6 +421,99 @@ def test_sampler_counts_every_dropped_root(s):
     assert np.array_equal(margins, [symplectic_margin(F, w) for w in res.witnesses])
 
 
+def oracle_uncached_continuation(F, free, u, theta, z):
+    """The continuation without cached terms: every live row is evaluated
+    from scratch by eval_scaled at every iteration, empty stacks included."""
+    ok = np.ones(len(z), dtype=bool)
+    stages = [float(s) for s in np.linspace(0.0, F.s, 17)[1:]] if F.s > 0.0 else []
+    for s in stages + [F.s]:
+        live = np.flatnonzero(ok)
+        for it in range(13):
+            bad = ~np.isfinite(z[live]) | (z[live] == 0)
+            ok[live[bad]] = False
+            live = live[~bad]
+            u[live, free[live]], theta[live, free[live]] = _log_coords(z[live])
+            _, val, dh, dbh = F.eval_scaled(u[live], theta[live], s)
+            res = np.hypot(val.real, val.imag)
+            if it == 12:
+                ok[live[~(res < 1e-10)]] = False
+                break
+            step = ~(res < 1e-12)
+            live, val, dh, dbh = live[step], val[step], dh[step], dbh[step]
+            k, f = np.arange(len(live)), free[live]
+            ph = np.exp(1j * theta[live, f])
+            a = dh[k, f] / ph
+            b = _cmul(dbh[k, f], ph)
+            J = np.stack([np.stack([(a + b).real, -(a - b).imag], axis=-1),
+                          np.stack([(a + b).imag, (a - b).real], axis=-1)], axis=-2)
+            rhs = -np.stack([val.real, val.imag], axis=-1)
+            solvable = np.isfinite(J).all(axis=(1, 2)) & (np.linalg.slogdet(J)[0] != 0)
+            ok[live[~solvable]] = False
+            live = live[solvable]
+            w = np.linalg.solve(J[solvable], rhs[solvable][..., None])[..., 0]
+            dz = np.empty(len(live), dtype=complex)
+            dz.real, dz.imag = w[:, 0], w[:, 1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                z[live] = z[live] + np.hypot(z[live].real, z[live].imag) * dz
+    return ok
+
+
+def start_roots(F, arg_grid, n_r, half_width):
+    """(free, u, theta, z) of the s = 0 roots of both sweeps over the window
+    [-half_width, half_width]^2, set up as amoeba_sample_curve sets them up."""
+    thetas = 2.0 * math.pi * np.arange(arg_grid) / arg_grid
+    axis = np.repeat([0, 1], n_r * arg_grid)
+    u_fix = np.tile(np.repeat(np.linspace(-half_width, half_width, n_r), arg_grid), 2)
+    th_fix = np.tile(thetas, 2 * n_r)
+    fiber, z, _ = _fiber_roots(_fiber_coefficients(F, axis, u_fix, th_fix))
+    found = np.isfinite(z) & (z != 0)
+    fiber, z = fiber[found], z[found]
+    k, axis = np.arange(len(z)), axis[fiber]
+    u, theta = np.zeros((len(z), 2)), np.zeros((len(z), 2))
+    u[k, axis], theta[k, axis] = u_fix[fiber], th_fix[fiber]
+    return 1 - axis, u, theta, z
+
+
+def t_star_p2():
+    h = HeightFunction.from_bundle(P2_FAN, P2_PHI)
+    return choose_scale(tropical_constants(TropicalComplex(h)), 0.1)
+
+
+@pytest.mark.parametrize("logt, s", [(8.0, 0.0), (8.0, 0.5), (8.0, 1.0), (None, 0.0), (None, 1.0)])
+def test_continuation_matches_uncached_oracle(logt, s, monkeypatch):
+    # evaluating only the rows that moved, and combining cached terms at each
+    # stage's s, carries every root bit for bit as re-evaluating every row
+    t = math.exp(logt) if logt is not None else t_star_p2()
+    F = p2_family(t=t, s=s)
+    free, u, theta, z = start_roots(F, 8, 24, 3.0 * F.L)
+    u0, theta0, z0 = u.copy(), theta.copy(), z.copy()
+    ok0 = oracle_uncached_continuation(F, free, u0, theta0, z0)
+
+    stacks = []
+    cutoff_states = PatchworkFamily.cutoff_states
+
+    def recorded(self, pts):
+        stacks.append(len(pts))
+        return cutoff_states(self, pts)
+
+    monkeypatch.setattr(PatchworkFamily, "cutoff_states", recorded)
+    ok, (mstar, T, phis, grads) = _newton_continuation(F, free, u, theta, z)
+    monkeypatch.undo()
+
+    assert np.count_nonzero(ok0) > 100
+    for new, old in ((z, z0), (u, u0), (theta, theta0), (ok, ok0)):
+        assert new.tobytes() == old.tobytes()
+    assert (len(stacks) > 0) == (s > 0.0)
+    assert 0 not in stacks
+    # the returned state is the state at the final point: combined at F.s it
+    # is eval_scaled there, as the sampler's residual gate uses it
+    rows = np.flatnonzero(ok)
+    cut = (phis[rows], grads[rows]) if s > 0.0 else (None, None)
+    got = (mstar[rows],) + F._combine(T[rows], *cut, F.s)
+    for new, old in zip(got, F.eval_scaled(u[rows], theta[rows])):
+        assert new.tobytes() == old.tobytes()
+
+
 def test_fiber_roots_match_np_roots():
     # per effective degree: dead leading terms (|c| < 1e-300) stripped,
     # degree 0 degenerate, degrees 1-2 in closed form, higher degrees exactly
@@ -464,6 +561,9 @@ def test_margin_requires_zero_locus():
     F = p2_family(t=5.0, s=0.0)
     with pytest.raises(NotOnZeroLocus):
         symplectic_margin(F, (1.0 + 0j, 1.0 + 0j))
+    # past e^709 the residual overflows to inf, which is refused the same way
+    with pytest.raises(NotOnZeroLocus):
+        symplectic_margin(F, (np.array([800.0, 0.0]), np.zeros(2)))
 
 
 def test_margin_positive_at_s_zero():

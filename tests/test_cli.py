@@ -4,6 +4,7 @@ Everything drives `main(argv)` directly (it returns the exit code instead
 of raising SystemExit), with outputs written into pytest tmp dirs.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -21,6 +22,16 @@ P1 = {"rays": [[1], [-1]], "max_cones": [[0], [1]], "phi": ["1", "1"]}
 P1XP1 = {
     "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
     "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+    "phi": ["1", "1", "1", "1"],
+}
+F1 = {
+    "rays": [[1, 0], [0, 1], [-1, 1], [0, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+    "phi": ["1", "1", "2", "1"],
+}
+P3 = {
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
     "phi": ["1", "1", "1", "1"],
 }
 NONCONVEX = {
@@ -176,6 +187,26 @@ def test_tropical_p2_report(tmp_path):
     assert math.isclose(
         math.log(data["scale"]["t_star"]), data["scale"]["log_t_star"], rel_tol=1e-12
     )
+
+
+def test_tropical_p2_report_bytes_are_pinned(tmp_path):
+    # log t* is written as the bisection returns it; on P2 that equals
+    # log(t*), and the whole report is pinned byte for byte
+    fan = write_fan(tmp_path, P2)
+    out = tmp_path / "out"
+    assert main(["tropical", "--input", fan, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "tropical.json").read_bytes()).hexdigest()
+    assert digest == "59826101b24a29de5b77f603feb9c8f9dfd5b689b4ed4fdb33c2b7395b20093d"
+
+
+def test_tropical_p3_reports_a_scale_past_double_range(tmp_path):
+    # c = 0.5/sqrt(33) puts log t* near 789.7: t* is no double, its log is
+    fan = write_fan(tmp_path, P3)
+    out = tmp_path / "out"
+    assert main(["tropical", "--input", fan, "--out", str(out)]) == 0
+    scale = json.loads((out / "tropical.json").read_text())["scale"]
+    assert scale["t_star"] is None
+    assert 709.0 < scale["log_t_star"] < 800.0
 
 
 def test_tropical_rationals_are_strings(tmp_path):
@@ -375,6 +406,21 @@ def test_amoeba_margins_positive_at_certified_scale(tmp_path):
     assert report["margin_min"] > 0.0
     hist = (out / "margins.csv").read_text().splitlines()
     assert all(float(r.split(",")[0]) > 0.0 for r in hist[1:])
+
+
+def test_amoeba_f1_certified_scale_drops_overflowing_residuals(tmp_path):
+    # at log t* = 405.3 the largest term passes e^709 inside the window: such
+    # a root's absolute residual overflows and it is dropped as `residual`
+    fan = write_fan(tmp_path, F1)
+    out = tmp_path / "out"
+    assert main(["amoeba", "--input", fan, "--out", str(out), "--grid", "12"]) == 0
+    report = json.loads((out / "hausdorff.json").read_text())
+    assert report["log_t"] > 400.0
+    assert report["dropped_roots"]["residual"] > 0
+    assert report["points"] > 0
+    assert report["margins_total"] == report["points"]
+    assert report["margins_positive"] == report["margins_total"]
+    assert report["margin_min"] > 0.0
 
 
 def test_seed_changes_no_output(tmp_path):

@@ -26,6 +26,7 @@ from tropmirror.tropical import (
     InvalidEps,
     NotTriangulation,
     TropicalComplex,
+    certified_log_scale,
     check_bundle_subdivision,
     choose_scale,
     complex_segments,
@@ -532,6 +533,23 @@ def test_choose_scale_p2():
     assert oracle_scale_ok(k, 0.1, math.log(2 * t))
     assert not oracle_scale_ok(k, 0.1, 0.5 * L)  # sqrt(t) is too small
     assert not oracle_scale_ok(k, 0.1, L * (1 - 1e-5))  # near-minimality
+
+
+def test_certified_log_scale_past_double_range():
+    # choose_scale is exp of the log scale; on P3 only the log is a double
+    k = tropical_constants(TropicalComplex(p2_height()))
+    assert certified_log_scale(k, 0.1) == math.log(choose_scale(k, 0.1)) == P2_LOG_T
+    p3 = HeightFunction.from_bundle(
+        Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+            ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+        [Fraction(1)] * 4)
+    k3 = tropical_constants(TropicalComplex(p3))
+    L = certified_log_scale(k3, 0.1)
+    assert 709.0 < L < 800.0
+    assert oracle_scale_ok(k3, 0.1, L)
+    assert not oracle_scale_ok(k3, 0.1, L * (1 - 1e-5))
+    with pytest.raises(InvalidEps):
+        choose_scale(k3, 0.1)
 
 
 def test_choose_scale_invalid_eps():
