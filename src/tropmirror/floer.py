@@ -200,10 +200,6 @@ class GradedAlgebra:
     def dimension(self, j: int) -> int:
         return self.pieces[j].dimension
 
-    def structure_constant(self, j: int, p_idx: int, k: int, q_idx: int) -> tuple[int, int]:
-        """(target twist, target index); the constant itself is always 1."""
-        return j + k, self.products[(j, k)][(p_idx, q_idx)]
-
     def json_tables(self) -> dict:
         out = {}
         for (j, k), table in sorted(self.products.items()):

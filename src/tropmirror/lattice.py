@@ -2,9 +2,10 @@
 
 Everything in this module is exact: coordinates are `fractions.Fraction`,
 normals are primitive integer vectors, and no floating point is used
-anywhere.  Dimensions up to 3 are supported where an algorithm needs a
-dimension bound (hull, fan completeness); counting and membership are
-dimension-agnostic.
+anywhere.  Two algorithms are bounded to n <= 3 and raise
+UnsupportedDimension past it: the convex hull and the fan completeness
+test, each one algorithm for every n up to the bound.  Counting and
+membership are dimension-agnostic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import ceil, floor, gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -266,11 +266,6 @@ class Polytope:
 
 def _recession_nontrivial(rows: list[Vec], n: int) -> bool:
     """Is there d != 0 with <a_i, d> <= 0 for all i?  Exact, n <= 3."""
-    if n == 1:
-        for s in (Fraction(1), Fraction(-1)):
-            if all(a[0] * s <= 0 for a in rows):
-                return True
-        return False
     if len(rows) < n:
         return True
     # candidate extreme ray directions come from (n-1)-subsets of normals
@@ -477,59 +472,36 @@ class Fan:
         return [self.rays[i] for i in cone]
 
     def is_complete(self) -> bool:
-        """Does the fan support cover all of R^n?  Exact test for n <= 3.
+        """Does the fan support cover all of R^n?  Exact degree test, n <= 3.
 
-        n=1: both half-lines present.  n=2: the maximal cones must be
-        exactly the consecutive pairs of the cyclically ordered rays.
-        n=3: a degree-one check.  Every ridge (ray pair of a cone) must be
-        shared by exactly two maximal cones lying on opposite sides of its
-        plane, so the cones wrap the sphere of directions with one
-        orientation; then the number of cones containing a direction off
-        every plane through two rays is the degree, which must be 1.
+        Every ridge (n - 1 rays of a maximal cone) must be shared by exactly
+        two maximal cones lying on opposite sides of its hyperplane, so the
+        cones wrap the sphere of directions with one orientation; then the
+        number of cones containing a direction off every hyperplane through
+        n - 1 rays is the degree, which must be 1.  In n = 1 the one ridge is
+        the empty set and its hyperplane is the origin.
         """
         n = self.n
-        if n == 1:
-            dirs = {1 if r[0] > 0 else -1 for r in self.rays}
-            used = {self.rays[c[0]][0] > 0 for c in self.max_cones}
-            return dirs == {1, -1} and len(used) == 2
-        if n == 2:
-            order = sorted(
-                range(len(self.rays)),
-                key=cmp_to_key(lambda i, j: _ray_cmp(self.rays[i], self.rays[j])),
-            )
-            expected = set()
-            k = len(order)
-            for j in range(k):
-                a, b = order[j], order[(j + 1) % k]
-                expected.add(tuple(sorted((a, b))))
-            have = {tuple(sorted(c)) for c in self.max_cones}
-            if have != expected:
+        if n > 3:
+            raise UnsupportedDimension("completeness test implemented for n <= 3 only")
+        opposite: dict[tuple[int, ...], list[int]] = {}  # ridge -> opposite rays
+        for c in self.max_cones:
+            if len(c) != n:
                 return False
-            # each consecutive cone must be salient (angle < pi), i.e. det != 0
-            for a, b in have:
-                if mat_det([self.rays[a], self.rays[b]]) == 0:
-                    return False
-            return True
-        if n == 3:
-            third: dict[tuple[int, int], list[int]] = {}  # ridge -> opposite rays
-            for c in self.max_cones:
-                if len(c) != 3:
-                    return False
-                for k in c:
-                    third.setdefault(tuple(i for i in c if i != k), []).append(k)
-            for (i, j), ks in third.items():
-                if len(ks) != 2:
-                    return False
-                s1, s2 = (mat_det([self.rays[i], self.rays[j], self.rays[k]]) for k in ks)
-                if s1 * s2 >= 0:
-                    return False
-            w = _generic_direction(self.rays)
-            inside = 0
-            for c in self.max_cones:
-                lam = solve_square([[self.rays[i][k] for i in c] for k in range(3)], w)
-                inside += all(x > 0 for x in lam)
-            return inside == 1
-        raise UnsupportedDimension("completeness test implemented for n <= 3 only")
+            for k in c:
+                opposite.setdefault(tuple(i for i in c if i != k), []).append(k)
+        for ridge, ks in opposite.items():
+            if len(ks) != 2:
+                return False
+            s1, s2 = (mat_det([self.rays[i] for i in ridge] + [self.rays[k]]) for k in ks)
+            if s1 * s2 >= 0:
+                return False
+        w = _generic_direction(self.rays, n)
+        inside = 0
+        for c in self.max_cones:
+            lam = solve_square([[self.rays[i][k] for i in c] for k in range(n)], w)
+            inside += all(x > 0 for x in lam)
+        return inside == 1
 
 
 def _exact_int(x, what: str) -> int:
@@ -543,35 +515,23 @@ def _exact_int(x, what: str) -> int:
     return i
 
 
-def _generic_direction(rays) -> tuple[int, int, int]:
-    """First w = (1, k, k^2), k = 1, 2, ..., on no plane spanned by two rays.
+def _generic_direction(rays, n: int) -> tuple[int, ...]:
+    """First w = (1, k, ..., k^(n-1)), k = 1, 2, ..., on no hyperplane
+    spanned by n - 1 rays.
 
-    Each plane's normal dotted with w is a nonzero polynomial of degree
-    at most 2 in k, so every plane rules out at most two values of k.
+    Each hyperplane's normal (from nullspace) dotted with w is a nonzero
+    polynomial of degree at most n - 1 in k, so every hyperplane rules out
+    at most n - 1 values of k.
     """
     normals = []
-    for a, b in itertools.combinations(rays, 2):
-        nm = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-        if any(nm):
-            normals.append(nm)
+    for sub in itertools.combinations(rays, n - 1):
+        ns = nullspace(sub, n)
+        if len(ns) == 1:
+            normals.append(ns[0])
     for k in itertools.count(1):
-        w = (1, k, k * k)
-        if all(sum(map(mul, nm, w)) != 0 for nm in normals):
+        w = tuple(k**e for e in range(n))
+        if all(dot(nm, w) != 0 for nm in normals):
             return w
-
-
-def _ray_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Exact counterclockwise comparison of 2d integer directions (no trig).
-
-    Angle zero is the positive x-axis; ties cannot occur between distinct
-    primitive rays.
-    """
-    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-    if ha != hb:
-        return ha - hb
-    cross = a[0] * b[1] - a[1] * b[0]
-    return -1 if cross > 0 else (1 if cross < 0 else 0)
 
 
 def is_smooth(fan: Fan) -> bool:

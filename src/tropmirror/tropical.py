@@ -313,14 +313,13 @@ class TropicalComplex:
         return self.height.n
 
     def vertices(self) -> list[tuple[Vec, tuple[int, ...]]]:
-        """0-faces of Pi with their dual full cells."""
-        out = []
-        for f in self.faces:
-            if f.dim == 0:
-                geo = face_geometry(f, self.n)
-                assert geo[0] == "point"
-                out.append((geo[1], f.dual_indices))
-        return out
+        """0-faces of Pi with their dual full cells, in cell order.
+
+        The vertex dual to a cell is the cell's gradient m: at u = m every
+        point of the tie set attains max <alpha, u> - nu(alpha) = -offset,
+        and every other point falls below it.
+        """
+        return [(c.gradient, c.indices) for c in self.subdivision.cells]
 
     def adjacent_component_pairs(self) -> list[tuple[int, int]]:
         """Pairs (i, j) whose components share a facet of Pi."""
@@ -340,28 +339,23 @@ class TropicalComplex:
 
 
 def _cell_proper_faces(indices: Sequence[int], A) -> set[frozenset]:
-    """All proper faces (every dimension) of conv(A[i] for i in indices).
+    """All proper faces (every dimension) of the full-dimensional cell
+    conv(A[i] for i in indices), as saturated tie sets.
 
-    Tie sets are saturated: a face carries every support point lying on it.
+    Every nonempty face of a polytope is an intersection of facets and
+    contains a vertex, so the facet tie sets of one hull, closed under
+    intersection and cleared of the empty set, are exactly the proper faces.
     """
-    out: set[frozenset] = set()
-    stack = [tuple(indices)]
-    seen: set[frozenset] = set()
-    while stack:
-        cur = stack.pop()
-        pts = [A[i] for i in cur]
-        d = affine_dim(pts)
-        if d <= 0:
-            continue
-        hl = hull(pts)
-        for a, b in hl.halfspaces:
-            tight = frozenset(i for i in cur if dot(a, A[i]) == b)
-            if not tight or tight in seen:
-                continue
-            if affine_dim([A[i] for i in tight]) == d - 1:
-                seen.add(tight)
-                out.add(tight)
-                stack.append(tuple(sorted(tight)))
+    cell = tuple(indices)
+    facets = {
+        frozenset(i for i in cell if dot(a, A[i]) == b)
+        for a, b in hull([A[i] for i in cell]).halfspaces
+    }
+    out = set(facets)
+    new = facets
+    while new:
+        new = {f & g for f in new for g in facets if f & g} - out
+        out |= new
     return out
 
 
@@ -542,7 +536,7 @@ def _separation_squared(cx: TropicalComplex) -> Fraction:
         return [[A[j][k] - A[x][k] for k in range(n)] for j in S if j != x]
 
     best = Fraction(1)
-    cells = [f.dual_indices for f in cx.faces if f.dim == 0]
+    cells = [c.indices for c in cx.subdivision.cells]
     for i, j in cx.adjacent_component_pairs():
         for a, b in ((i, j), (j, i)):
             hh = sum((A[b][k] - A[a][k]) ** 2 for k in range(n))

@@ -10,6 +10,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from tropmirror import cli
 from tropmirror.cli import main
 
@@ -199,6 +201,31 @@ def test_tropical_p2_report_bytes_are_pinned(tmp_path):
     assert digest == "59826101b24a29de5b77f603feb9c8f9dfd5b689b4ed4fdb33c2b7395b20093d"
 
 
+# sha256 of each report on the standing varieties; the P2 tropical report
+# is pinned by the test above
+PINNED_REPORTS = {
+    ("P1", "subdivide"): "0c605ae6657bd4f131f3e644cec9ccc2f7ad28f4a247a667481e99767c1012f2",
+    ("P1", "tropical"): "c671f3c0fcdbbb20556579756a0147d8b89518053bda382dc60eaec9c0ff1591",
+    ("P2", "subdivide"): "359aaff756aad2f2ee464ec2bffee4833cbf193f450c4e123a4e6a7215175bf4",
+    ("P1XP1", "subdivide"): "a7eedde4062105a2b2d7e71289b306dc95e348192de5bcf7b0561d36ef531799",
+    ("P1XP1", "tropical"): "2b44030300a1c8abec6d979b6a613edac63fb1ef020c201415302e198c2afcdf",
+    ("F1", "subdivide"): "491abb307f7e7df36df0fbc3cce5a9aa61a783e45db754c31ea22ae63e25399b",
+    ("F1", "tropical"): "6969ac1d0cd204ed7451b2b4d48b0ca3bd2e60a81b98c523634276793fa08925",
+    ("P3", "subdivide"): "8d9935339894c090f829b85019b203e11611822610ef7dbc6e880378e49398e4",
+    ("P3", "tropical"): "3f250a22f53bf737c4b3f25a029b31cf1b254ddbfbb740b692e09fa9f40b9841",
+}
+
+
+@pytest.mark.parametrize("variety, command", sorted(PINNED_REPORTS))
+def test_reports_are_pinned_byte_for_byte(tmp_path, variety, command):
+    fan = write_fan(tmp_path, {"P1": P1, "P2": P2, "P1XP1": P1XP1, "F1": F1, "P3": P3}[variety])
+    out = tmp_path / "out"
+    assert main([command, "--input", fan, "--out", str(out)]) == 0
+    name = "subdivision.json" if command == "subdivide" else "tropical.json"
+    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest == PINNED_REPORTS[variety, command]
+
+
 def test_tropical_p3_reports_a_scale_past_double_range(tmp_path):
     # c = 0.5/sqrt(33) puts log t* near 789.7: t* is no double, its log is
     fan = write_fan(tmp_path, P3)
@@ -311,6 +338,19 @@ def test_verify_unbounded_fan_exit2(tmp_path):
     half = {"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]], "phi": ["1", "1"]}
     fan = write_fan(tmp_path, half)
     assert main(["verify", "--input", fan, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_half_plane_fan_is_not_complete_exit2(tmp_path, capsys):
+    # every pair of three rays in the closed half-plane y <= 0 is a cone
+    half_plane = {
+        "rays": [[-1, -2], [-1, 0], [3, -1]],
+        "max_cones": [[0, 1], [1, 2], [0, 2]],
+        "phi": ["1", "1", "1"],
+    }
+    fan = write_fan(tmp_path, half_plane)
+    for command in ("verify", "hilbert"):
+        assert main([command, "--input", fan, "--out", str(tmp_path / command)]) == 2
+        assert "fan is not complete" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

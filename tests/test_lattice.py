@@ -7,6 +7,7 @@ then frozen.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -205,6 +206,79 @@ def test_completeness_3d_needs_degree_one():
     # winding number 2 (a pentagram): every ridge is oriented consistently,
     # but each generic direction lies in two cones
     assert not _polar_fan(((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))).is_complete()
+
+
+def _cyclic_fan(rays):
+    """Each consecutive pair of rays (cyclically) spans one cone."""
+    k = len(rays)
+    return Fan(tuple(rays), tuple((i, (i + 1) % k) for i in range(k)))
+
+
+def test_completeness_low_dimensions():
+    assert Fan(((1,), (-1,)), ((0,), (1,))).is_complete()
+    assert not Fan(((1,),), ((0,),)).is_complete()  # the half-line
+    assert not Fan(((1,), (-1,)), ((0,),)).is_complete()
+    assert _cyclic_fan(((1, 0), (0, 1), (-1, -1))).is_complete()
+    # two rays, one cone
+    assert not Fan(((2, -1), (3, 1)), ((0, 1),)).is_complete()
+    # three rays in the closed half-plane y <= 0, every pair a cone
+    half_plane = Fan(((-1, -2), (-1, 0), (3, -1)), ((0, 1), (1, 2), (0, 2)))
+    assert not half_plane.is_complete()
+    with pytest.raises(Unbounded, match="not complete"):
+        polytope_from_bundle(half_plane, (1, 1, 1))
+    # the equators of the 3d fans above: winding number 2 and 0
+    assert not _cyclic_fan(((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))).is_complete()
+    assert not _cyclic_fan(((1, 0), (-1, 1), (-1, -1), (0, 1), (1, -2))).is_complete()
+
+
+def oracle_plane_coverage(rays, cones):
+    """Does every direction of the plane off the rays lie inside exactly one
+    cone?  The number of cones containing a direction is constant on each
+    open arc between consecutive ray angles, so one sampled direction per
+    arc (its midpoint) decides it."""
+    if any(len(c) != 2 or oracle_det2(rays[c[0]], rays[c[1]]) == 0 for c in cones):
+        return False
+    angles = sorted(math.atan2(y, x) for x, y in rays)
+    mids = [(a + b) / 2 for a, b in zip(angles, angles[1:])]
+    mids.append((angles[-1] + angles[0] + 2 * math.pi) / 2)
+    for t in mids:
+        w = (math.cos(t), math.sin(t))
+        inside = 0
+        for i, j in cones:
+            (a, b), (c, d) = rays[i], rays[j]
+            det = a * d - b * c
+            inside += (w[0] * d - w[1] * c) / det > 0 and (a * w[1] - b * w[0]) / det > 0
+        if inside != 1:
+            return False
+    return True
+
+
+def test_plane_completeness_matches_coverage_oracle():
+    rng = random.Random(23)
+    prim = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if math.gcd(x, y) == 1]
+    verdicts = []
+    for _ in range(400):
+        rays = rng.sample(prim, rng.randint(1, 6))
+        pairs = list(itertools.combinations(range(len(rays)), 2))
+        if rng.random() < 0.5 or not pairs:
+            # the angular cycle, sometimes with one cone dropped or added
+            order = sorted(range(len(rays)), key=lambda i: math.atan2(rays[i][1], rays[i][0]))
+            k = len(order)
+            cones = [tuple(sorted((order[i], order[(i + 1) % k]))) for i in range(k)]
+            cones = [c for c in cones if c[0] != c[1]]
+            if cones and rng.random() < 0.3:
+                cones.pop(rng.randrange(len(cones)))
+            if pairs and rng.random() < 0.3:
+                cones.append(rng.choice(pairs))
+            if not cones:
+                cones = [(0,)]
+        else:
+            cones = rng.sample(pairs, rng.randint(1, len(pairs)))
+        fan = Fan(tuple(rays), tuple(cones))
+        verdict = fan.is_complete()
+        assert verdict == oracle_plane_coverage(fan.rays, fan.max_cones), (rays, cones)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_nonconvex_support_named_pair():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropmirror.lattice import Fan, NotConvex, polytope_from_bundle
+from tropmirror.lattice import Fan, NotConvex, affine_dim, dot, hull, polytope_from_bundle
 from tropmirror.tropical import (
     Cell,
     DegenerateSupport,
@@ -26,6 +26,7 @@ from tropmirror.tropical import (
     InvalidEps,
     NotTriangulation,
     TropicalComplex,
+    _cell_proper_faces,
     certified_log_scale,
     check_bundle_subdivision,
     choose_scale,
@@ -310,6 +311,67 @@ def test_inactive_component_is_empty():
     for _ in range(200):
         u = (rng.randint(-60, 60), rng.randint(-60, 60))
         assert not dead.contains(u)
+
+
+def oracle_cell_proper_faces(indices, A):
+    """Proper faces by recursion: a hull of every face, facets of facets,
+    down to the vertices (each lower-dimensional face gets its own hull)."""
+    out = set()
+    stack = [tuple(indices)]
+    seen = set()
+    while stack:
+        cur = stack.pop()
+        pts = [A[i] for i in cur]
+        d = affine_dim(pts)
+        if d <= 0:
+            continue
+        hl = hull(pts)
+        for a, b in hl.halfspaces:
+            tight = frozenset(i for i in cur if dot(a, A[i]) == b)
+            if not tight or tight in seen:
+                continue
+            if affine_dim([A[i] for i in tight]) == d - 1:
+                seen.add(tight)
+                out.add(tight)
+                stack.append(tuple(sorted(tight)))
+    return out
+
+
+def test_cube_cell_faces():
+    # one non-simplicial cell: 6 squares, 12 edges and 8 vertices
+    A = tuple(itertools.product((0, 1), repeat=3))
+    cx = TropicalComplex(HeightFunction(A, (0,) * 8))
+    (cell,) = cx.subdivision.cells
+    faces = _cell_proper_faces(cell.indices, A)
+    dims = sorted(affine_dim([A[i] for i in f]) for f in faces)
+    assert dims == [0] * 8 + [1] * 12 + [2] * 6
+    assert faces == oracle_cell_proper_faces(cell.indices, A)
+    assert cx.vertices() == [((0, 0, 0), tuple(range(8)))]
+
+
+@st.composite
+def tied_height(draw):
+    """A random height function (n = 1, 2, 3) with few height values, so
+    ties leave non-simplicial cells."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2) if n == 1 else st.integers(-1, 1)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 5,
+                        unique=True))
+    values = draw(st.lists(st.integers(0, 1), min_size=len(pts), max_size=len(pts)))
+    try:
+        return TropicalComplex(HeightFunction(tuple(pts), tuple(values)))
+    except DegenerateSupport:
+        assume(False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(tied_height())
+def test_faces_and_vertices_match_the_recursive_oracle(cx):
+    A = cx.height.points
+    for cell in cx.subdivision.cells:
+        assert _cell_proper_faces(cell.indices, A) == oracle_cell_proper_faces(cell.indices, A)
+    solved = [(face_geometry(f, cx.n)[1], f.dual_indices) for f in cx.faces if f.dim == 0]
+    assert cx.vertices() == solved
 
 
 # ---------------------------------------------------------------------------
