@@ -82,6 +82,8 @@ def hilbert_function(Q: Polytope, j_max: int) -> list[int]:
 
 def interior_counts(Q: Polytope, j_max: int) -> list[int]:
     """[|interior(jQ) cap Z^n|] for j = 0..j_max (0 at j=0 by convention)."""
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
     out = [0]
     for j in range(1, j_max + 1):
         out.append(len(interior_lattice_points(Q.dilate(j))))

@@ -5,7 +5,9 @@ normals are primitive integer vectors, and no floating point is used
 anywhere.  Two algorithms are bounded to n <= 3 and raise
 UnsupportedDimension past it: the convex hull and the fan completeness
 test, each one algorithm for every n up to the bound.  Counting and
-membership are dimension-agnostic.
+membership are dimension-agnostic: lattice points come from one column
+sweep that gives each column of the box its integer interval of last
+coordinates by floor division.
 """
 
 from __future__ import annotations
@@ -389,8 +391,8 @@ def _hull_degenerate(pts: list[Vec], n: int, d: int) -> Polytope:
 def lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
     """Points of poly in the (1/d)-refined lattice, in lexicographic order.
 
-    d=1 gives ordinary lattice points.  The scan is a bounding-box sweep
-    with exact membership tests, so the order is deterministic.
+    d=1 gives ordinary lattice points.  The points are found column by
+    column with exact integer arithmetic, so the order is deterministic.
     """
     return _lattice_scan(poly, d, strict=False)
 
@@ -403,21 +405,40 @@ def interior_lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
 
 
 def _lattice_scan(poly: Polytope, d: int, strict: bool) -> list[Vec]:
-    """Bounding-box sweep of the (1/d)-lattice, boundary kept unless strict.
+    """Column sweep of the (1/d)-lattice, boundary kept unless strict.
 
     A point k/d satisfies <a, k/d> <= b iff the integer <a, k> is at most
     floor(d b), and <a, k/d> < b iff it is at most ceil(d b) - 1, so each
-    halfspace becomes one integer limit before the sweep.
+    halfspace becomes one integer limit.  The sweep runs over the first
+    n - 1 box coordinates only.  In each column, what the head leaves of
+    a limit bounds the last coordinate by floor division (above when
+    a[-1] > 0, below when a[-1] < 0; a[-1] = 0 keeps or empties the whole
+    column), so the column's points are one integer interval, emitted in
+    lexicographic order.
     """
-    if d < 1:
+    if not isinstance(d, int) or d < 1:
         raise ValueError("refinement d must be a positive integer")
-    limits = [(a, ceil(b * d) - 1 if strict else floor(b * d)) for a, b in poly.halfspaces]
-    ranges = [range(ceil(lo * d), floor(hi * d) + 1) for lo, hi in poly.bounding_box()]
-    return [
-        tuple(Fraction(k, d) for k in tup)
-        for tup in itertools.product(*ranges)
-        if all(sum(map(mul, a, tup)) <= lim for a, lim in limits)
+    limits = [
+        (a[:-1], a[-1], ceil(b * d) - 1 if strict else floor(b * d)) for a, b in poly.halfspaces
     ]
+    ranges = [range(ceil(lo * d), floor(hi * d) + 1) for lo, hi in poly.bounding_box()]
+    frac = {k: Fraction(k, d) for r in ranges for k in r}
+    last = ranges[-1]
+    out: list[Vec] = []
+    for head in itertools.product(*ranges[:-1]):
+        lo, hi = last.start, last.stop - 1
+        for a, c, lim in limits:
+            rest = lim - sum(map(mul, a, head))
+            if c > 0:
+                hi = min(hi, rest // c)
+            elif c < 0:
+                lo = max(lo, -(rest // -c))
+            elif rest < 0:
+                break
+        else:
+            fhead = tuple(frac[k] for k in head)
+            out.extend(fhead + (frac[k],) for k in range(lo, hi + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +477,13 @@ class Fan:
                 raise MalformedFan(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise MalformedFan("duplicate rays")
-        for c in cones:
+        for k, c in enumerate(cones):
             if len(set(c)) != len(c):
                 raise MalformedFan(f"cone {c} repeats a ray index")
             if any(i < 0 or i >= len(rays) for i in c):
                 raise MalformedFan(f"cone {c} references a missing ray")
+            if c in cones[:k]:
+                raise MalformedFan(f"cone {c} is listed twice")
         if not cones:
             raise MalformedFan("fan needs at least one maximal cone")
 

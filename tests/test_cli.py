@@ -201,18 +201,35 @@ def test_tropical_p2_report_bytes_are_pinned(tmp_path):
     assert digest == "59826101b24a29de5b77f603feb9c8f9dfd5b689b4ed4fdb33c2b7395b20093d"
 
 
+# the file each command writes, and the flags it runs with
+REPORT_RUNS = {
+    "subdivide": ("subdivision.json", []),
+    "tropical": ("tropical.json", []),
+    "verify": ("verify.json", ["--J", "3"]),
+    "hilbert": ("hilbert.csv", ["--J", "8"]),
+}
 # sha256 of each report on the standing varieties; the P2 tropical report
 # is pinned by the test above
 PINNED_REPORTS = {
     ("P1", "subdivide"): "0c605ae6657bd4f131f3e644cec9ccc2f7ad28f4a247a667481e99767c1012f2",
     ("P1", "tropical"): "c671f3c0fcdbbb20556579756a0147d8b89518053bda382dc60eaec9c0ff1591",
+    ("P1", "verify"): "acb92e1f76616e3d51ca1f23375b03eeee6f858a8eb69a6a7fc46776b3d4f551",
+    ("P1", "hilbert"): "c42cc180b2d1849d25da0b3625424a539930d46a3694047e8e5e0dd727d795cc",
     ("P2", "subdivide"): "359aaff756aad2f2ee464ec2bffee4833cbf193f450c4e123a4e6a7215175bf4",
+    ("P2", "verify"): "b3838c6279fe683dd7f9fdea7862130acdea8bbccabe4e5a5010df05bbd56088",
+    ("P2", "hilbert"): "40125727ccc36e0a2c6caa16f7b06b01f2d00e28bb26298db5f6837393395601",
     ("P1XP1", "subdivide"): "a7eedde4062105a2b2d7e71289b306dc95e348192de5bcf7b0561d36ef531799",
     ("P1XP1", "tropical"): "2b44030300a1c8abec6d979b6a613edac63fb1ef020c201415302e198c2afcdf",
+    ("P1XP1", "verify"): "04fad80a69cffbf258e4c6c2e9402ccf77c4a6094986765900f79ee7d778fd7b",
+    ("P1XP1", "hilbert"): "c6420147f6a37d9326b103c9d3acc3e7798a06c0a5e976591cb4eee81ae061df",
     ("F1", "subdivide"): "491abb307f7e7df36df0fbc3cce5a9aa61a783e45db754c31ea22ae63e25399b",
     ("F1", "tropical"): "6969ac1d0cd204ed7451b2b4d48b0ca3bd2e60a81b98c523634276793fa08925",
+    ("F1", "verify"): "52acef250a508c8cbb335ce9d12c204de48ae64542c873ac84653a81e2a8658e",
+    ("F1", "hilbert"): "ea908bd15d9950706fae15711ca4b82706f967a68c4f5b9502ce47a8f14de9b8",
     ("P3", "subdivide"): "8d9935339894c090f829b85019b203e11611822610ef7dbc6e880378e49398e4",
     ("P3", "tropical"): "3f250a22f53bf737c4b3f25a029b31cf1b254ddbfbb740b692e09fa9f40b9841",
+    ("P3", "verify"): "53e35daa7d41b81123b852d131f99d8db4de0adfc5a0d5083880529022c92d5c",
+    ("P3", "hilbert"): "27738323caf21c88674e4737ba4a0adb4220191a83b618f489cddded9d74c7a9",
 }
 
 
@@ -220,8 +237,8 @@ PINNED_REPORTS = {
 def test_reports_are_pinned_byte_for_byte(tmp_path, variety, command):
     fan = write_fan(tmp_path, {"P1": P1, "P2": P2, "P1XP1": P1XP1, "F1": F1, "P3": P3}[variety])
     out = tmp_path / "out"
-    assert main([command, "--input", fan, "--out", str(out)]) == 0
-    name = "subdivision.json" if command == "subdivide" else "tropical.json"
+    name, flags = REPORT_RUNS[command]
+    assert main([command, "--input", fan, "--out", str(out), *flags]) == 0
     digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert digest == PINNED_REPORTS[variety, command]
 
@@ -351,6 +368,14 @@ def test_half_plane_fan_is_not_complete_exit2(tmp_path, capsys):
     for command in ("verify", "hilbert"):
         assert main([command, "--input", fan, "--out", str(tmp_path / command)]) == 2
         assert "fan is not complete" in capsys.readouterr().err
+
+
+def test_repeated_cone_is_malformed_exit1(tmp_path, capsys):
+    # P1xP1 with the cone (0, 1) listed twice, once in the other ray order
+    fan = write_fan(tmp_path, dict(P1XP1, max_cones=P1XP1["max_cones"] + [[1, 0]]))
+    for command in ("verify", "hilbert"):
+        assert main([command, "--input", fan, "--out", str(tmp_path / command)]) == 1
+        assert "listed twice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

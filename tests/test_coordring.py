@@ -128,6 +128,12 @@ def test_interior_counts_shifted_by_reciprocity():
         assert eval_poly(coeffs, -j) == interior_counts(Q, j)[j]
 
 
+def test_counts_reject_a_negative_top_degree():
+    for count in (hilbert_function, interior_counts):
+        with pytest.raises(ValueError, match="j_max must be nonnegative"):
+            count(p2_Q(), -1)
+
+
 # ---------------------------------------------------------------------------
 # the isomorphism
 # ---------------------------------------------------------------------------

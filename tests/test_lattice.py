@@ -150,6 +150,19 @@ def test_fan_validation():
         Fan(((1, 0), (0, 1)), ((0, 1.5),))  # int() would truncate the index
 
 
+@pytest.mark.parametrize("rays, cones", [
+    (((1,), (-1,)), ((0,), (1,), (0,))),
+    (((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0), (1, 0))),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+     ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (2, 1, 0))),
+])
+def test_fan_rejects_a_repeated_cone(rays, cones):
+    # a cone listed twice (in any ray order) is malformed input, not an
+    # incomplete fan
+    with pytest.raises(MalformedFan, match="listed twice"):
+        Fan(rays, cones)
+
+
 def test_moment_polytope_p2():
     q = p2_triangle()
     # frozen: Cramer oracle on the three tight pairs
@@ -274,6 +287,12 @@ def test_plane_completeness_matches_coverage_oracle():
                 cones = [(0,)]
         else:
             cones = rng.sample(pairs, rng.randint(1, len(pairs)))
+        if len(set(cones)) < len(cones):
+            # a repeated cone (two rays make the cycle (0, 1), (0, 1)) is
+            # malformed input, not an incomplete fan
+            with pytest.raises(MalformedFan, match="listed twice"):
+                Fan(tuple(rays), tuple(cones))
+            continue
         fan = Fan(tuple(rays), tuple(cones))
         verdict = fan.is_complete()
         assert verdict == oracle_plane_coverage(fan.rays, fan.max_cones), (rays, cones)
@@ -306,6 +325,14 @@ def test_interior_unit_square():
     sq = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert interior_lattice_points(sq, 1) == []
     assert interior_lattice_points(sq, 2) == [(F(1, 2), F(1, 2))]
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.0, 1.5, F(2)])
+def test_refinement_must_be_a_positive_integer(d):
+    q = p2_triangle()
+    for enumerate_points in (lattice_points, interior_lattice_points):
+        with pytest.raises(ValueError, match="refinement d must be a positive integer"):
+            enumerate_points(q, d)
 
 
 def test_interior_of_degenerate_raises():
@@ -432,8 +459,8 @@ def test_from_halfspaces_roundtrip():
 # the lattice enumerator against a brute-force scan
 # ---------------------------------------------------------------------------
 
-small_point_sets = st.integers(2, 3).flatmap(
-    lambda n: st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6)
+small_point_sets = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=6)
 )
 
 
@@ -457,3 +484,36 @@ def test_enumerator_matches_brute_force(points, k, d):
             interior_lattice_points(q, d)
     else:
         assert interior_lattice_points(q, d) == [p for p in refined if q.contains_strictly(p)]
+
+
+def box_sweep(poly, d, strict):
+    """The enumerator as it was before the column sweep, frozen: every point
+    of the refined bounding box, tested against every integer limit."""
+    limits = [(a, math.ceil(b * d) - 1 if strict else math.floor(b * d))
+              for a, b in poly.halfspaces]
+    ranges = [range(math.ceil(lo * d), math.floor(hi * d) + 1) for lo, hi in poly.bounding_box()]
+    return [
+        tuple(F(k, d) for k in tup)
+        for tup in itertools.product(*ranges)
+        if all(sum(x * y for x, y in zip(a, tup)) <= lim for a, lim in limits)
+    ]
+
+
+F1_FAN = Fan(((1, 0), (0, 1), (-1, 1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+P3_FAN = Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+             ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+# P(1,1,2) and its mirror image in y: the facet normals (-1, -2) and
+# (-1, 2) bound the last coordinate by a division that is not exact
+P112_MIRROR_FAN = Fan(((1, 0), (0, -1), (-1, 2)), ((0, 1), (1, 2), (0, 2)))
+
+
+@pytest.mark.parametrize("fan, phi", [
+    (P2_FAN, (1, 1, 1)), (P1XP1_FAN, (1, 1, 1, 1)), (F1_FAN, (1, 1, 2, 1)),
+    (P3_FAN, (1, 1, 1, 1)), (P112_FAN, (1, 1, 1)), (P112_MIRROR_FAN, (1, 1, 1)),
+])
+def test_column_sweep_matches_box_sweep(fan, phi):
+    # as lists, so the lexicographic order is compared too
+    q = polytope_from_bundle(fan, phi)
+    for poly, d in [(q.dilate(j), 1) for j in range(1, 7)] + [(q, d) for d in range(1, 5)]:
+        assert lattice_points(poly, d) == box_sweep(poly, d, strict=False)
+        assert interior_lattice_points(poly, d) == box_sweep(poly, d, strict=True)
