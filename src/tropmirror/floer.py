@@ -8,12 +8,12 @@ rounded: generators, `triangle_target`, `triangle_exists` and `cup_product`
 work in `Fraction`s, and `assemble_algebra` tabulates the ladder products
 and audits their associativity in exact int64 arithmetic on scaled
 generators j*(p - v0), with a bound check that raises before any value
-could wrap.
+could wrap.  The algebra keeps each product table as the kernel's int64
+array, one (dim j, dim k) array of target indices per twist pair (j, k).
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -110,7 +110,7 @@ def floer_group(Q: Polytope, l1: int, l2: int) -> FloerGroup:
     else:
         pts = [tuple(Fraction(0) for _ in range(n))]
         hom = n
-    basis = tuple(FloerGenerator(l1, l2, p, hom) for p in sorted(pts))
+    basis = tuple(FloerGenerator(l1, l2, p, hom) for p in pts)
     return FloerGroup(l1, l2, Q, basis)
 
 
@@ -194,7 +194,8 @@ class GradedAlgebra:
     polytope: Polytope
     J: int
     pieces: tuple[FloerGroup, ...]  # index j = twist, 0..J
-    # products[(j, k)][(p_idx, q_idx)] = r_idx in piece j+k
+    # products[(j, k)][p_idx, q_idx] = r_idx in piece j+k, an int64 array
+    # of shape (dim j, dim k)
     products: dict
 
     def dimension(self, j: int) -> int:
@@ -204,7 +205,7 @@ class GradedAlgebra:
         out = {}
         for (j, k), table in sorted(self.products.items()):
             out[f"{j},{k}"] = [
-                [p, q, r] for (p, q), r in sorted(table.items())
+                [p, q, r] for p, row in enumerate(table.tolist()) for q, r in enumerate(row)
             ]
         return out
 
@@ -229,11 +230,7 @@ def assemble_algebra(Q: Polytope, J: int) -> GradedAlgebra:
     pieces = tuple(floer_group(Q, 0, j) for j in range(J + 1))
     tables = _ladder_tables(Q, pieces, J)
     _audit_associativity(tables, J)
-    products = {
-        key: dict(zip(itertools.product(*map(range, tab.shape)), tab.ravel().tolist()))
-        for key, tab in tables.items()
-    }
-    return GradedAlgebra(Q, J, pieces, products)
+    return GradedAlgebra(Q, J, pieces, tables)
 
 
 def _ladder_tables(Q: Polytope, pieces: Sequence[FloerGroup], J: int) -> dict:
@@ -336,13 +333,13 @@ def dual_action_table(alg: GradedAlgebra, l: int, m: int):
     duality formula is backed for m > l (the composite twist stays
     negative); m = l is the pairing itself and is flagged for audit.
     """
-    if m < l:
-        raise ValueError("no tabulated positive counterpart to transpose")
+    if not 0 <= l <= m <= alg.J:
+        raise ValueError(f"no tabulated product ({l}, {m - l}) to transpose; J = {alg.J}")
     if m == l:
         log.warning(
             "dualized product with l = m = %d is the pairing configuration, "
             "outside the verified dualization range; returning the formal transpose",
             l,
         )
-    table = alg.products[(l, m - l)]
-    return sorted((p, r, q) for (p, q), r in table.items())
+    table = alg.products[(l, m - l)].tolist()
+    return sorted((p, r, q) for p, row in enumerate(table) for q, r in enumerate(row))

@@ -172,8 +172,8 @@ def test_criterion_04_algebra_axioms():
         assert dims[0] == 1  # unital ground piece
 
         for (j, k), table in alg.products.items():
-            products_seen += len(table)
-            for (p, q), r in table.items():
+            products_seen += table.size
+            for (p, q), r in np.ndenumerate(table):
                 # degree additivity: the target index is a valid basis slot
                 # of the (j+k)-piece
                 if not (j + k <= J and 0 <= r < dims[j + k]):

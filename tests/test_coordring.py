@@ -4,12 +4,13 @@ verifier.
 Oracle policy: lattice counts come from an independent inequality scan
 against the explicit H-rep of each fixture (oracle_count), closed forms
 (2j+1, (9j^2+9j+2)/2) cross-check the quadratic cases, and the fault
-injections below corrupt one table entry to pin the mismatch accounting.
+injections below corrupt table entries to pin the mismatch accounting.
 """
 
 import logging
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from tropmirror.floer import assemble_algebra, floer_group
 from tropmirror.coordring import (
     IsomorphismReport,
     NonLatticePolytope,
+    _phi,
     ehrhart_polynomial,
     eval_poly,
     hilbert_function,
@@ -65,6 +67,8 @@ def test_p1_ring_bases_and_product():
     for j in (0, 1, 2):
         for m in ring.bases[j]:
             assert ring.product(0, (0,), j, m) == (j, m)
+    with pytest.raises(ValueError, match="left the dilated polytope"):
+        ring.product(1, (2,), 1, (1,))  # (2,) is not a point of Q = [-1, 1]
 
 
 def test_p2_ring_dimensions():
@@ -173,11 +177,55 @@ def test_corrupted_table_yields_exactly_one_mismatch():
     assert entry["p_index"] == 0 and entry["q_index"] == 0
 
 
+def per_product_mismatches(alg, ring):
+    """The product check as it was before the table-slice form, frozen: one
+    product at a time, in sorted (j, k) then sorted (p, q) order."""
+    images = [[tuple(int(x * j) for x in g.point) for g in piece.basis]
+              for j, piece in enumerate(alg.pieces)]
+    out = []
+    for (j, k), table in sorted(alg.products.items()):
+        for (pi, qi), ri in sorted(np.ndenumerate(table)):
+            got = images[j + k][ri]
+            expected = tuple(a + b for a, b in zip(images[j][pi], images[k][qi]))
+            if got != expected:
+                out.append((("degrees", (j, k)), ("p_index", pi), ("q_index", qi),
+                            ("expected", expected), ("got", got)))
+    return tuple(out)
+
+
+def test_corrupted_slices_match_the_per_product_check():
+    alg = assemble_algebra(p2_Q(), 3)
+    ring = section_ring(p2_Q(), 3)
+    # two slices, and two entries of (2, 1) that row-major and column-major
+    # order would list the other way round
+    for key, (p, q) in (((2, 1), (3, 2)), ((1, 1), (0, 0)), ((2, 1), (0, 5))):
+        table = alg.products[key]
+        table[p, q] = (table[p, q] + 1) % alg.dimension(sum(key))
+    report = verify_isomorphism(alg, ring)
+    oracle = per_product_mismatches(alg, ring)
+    assert [(dict(m)["degrees"], dict(m)["p_index"], dict(m)["q_index"]) for m in oracle] == [
+        ((1, 1), 0, 0), ((2, 1), 0, 5), ((2, 1), 3, 2)]
+    assert report.mismatches == oracle
+    for entry in report.mismatches:
+        for x in dict(entry)["expected"] + dict(entry)["got"]:
+            assert type(x) is int
+    assert report.products_checked == sum(t.size for t in alg.products.values())
+
+
+def test_phi_rejects_a_point_off_the_refined_lattice():
+    assert _phi(2, (Fraction(1, 2), 1)) == (1, 2)
+    with pytest.raises(ValueError, match="not a point of the"):
+        _phi(2, (Fraction(1, 3), 1))
+
+
 def test_isomorphism_invariant_under_translation_and_gl():
-    Qt = p2_Q().translate((1, -1))
-    with pytest.warns(UserWarning):
-        algt = assemble_algebra(Qt, 2)
-    assert verify_isomorphism(algt, section_ring(Qt, 2)).ok
+    # at 2e18 the points of 5Q are about 1e19, past int64: the check only
+    # stays exact because it compares them relative to j times Q's corner
+    for shift, J in (((1, -1), 2), ((2 * 10**18, -2 * 10**18), 5)):
+        Qt = p2_Q().translate(shift)
+        with pytest.warns(UserWarning):
+            algt = assemble_algebra(Qt, J)
+        assert verify_isomorphism(algt, section_ring(Qt, J)).ok
 
     # shear the fan by a unimodular matrix and rebuild everything
     M = ((1, 1), (0, 1))

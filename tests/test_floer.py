@@ -14,6 +14,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tropmirror.lattice import Fan, Polytope, polytope_from_bundle
@@ -208,7 +209,7 @@ def test_assemble_p2_dimensions_and_generation():
     alg = assemble_algebra(p2_Q(), 2)
     assert [alg.dimension(j) for j in range(3)] == [1, 10, 28]
     # the degree-1 products reach every degree-2 basis element
-    image = set(alg.products[(1, 1)].values())
+    image = set(alg.products[(1, 1)].ravel().tolist())
     assert image == set(range(28))
 
 
@@ -226,7 +227,7 @@ def test_algebra_unit_and_degree_additivity():
             assert alg.products[(j, 0)][(i, 0)] == i
     for (j, k), table in alg.products.items():
         assert j + k <= alg.J
-        for (pi, qi), ri in table.items():
+        for (pi, qi), ri in np.ndenumerate(table):
             assert 0 <= ri < alg.dimension(j + k)
 
 
@@ -234,7 +235,7 @@ def test_algebra_commutes_through_regrading():
     alg = assemble_algebra(p2_Q(), 3)
     for j in range(4):
         for k in range(4 - j):
-            for (pi, qi), ri in alg.products[(j, k)].items():
+            for (pi, qi), ri in np.ndenumerate(alg.products[(j, k)]):
                 assert alg.products[(k, j)][(qi, pi)] == ri
 
 
@@ -243,7 +244,7 @@ def test_algebra_products_match_affine_formula():
     for (j, k), table in alg.products.items():
         if j == 0 or k == 0:
             continue
-        for (pi, qi), ri in table.items():
+        for (pi, qi), ri in np.ndenumerate(table):
             p = alg.pieces[j].basis[pi].point
             q = alg.pieces[k].basis[qi].point
             r = alg.pieces[j + k].basis[ri].point
@@ -258,7 +259,9 @@ def test_translation_equivariance():
         alg = assemble_algebra(p2_Q(), J)
         with pytest.warns(UserWarning):  # origin leaves the interior; geometry still works
             alg_t = assemble_algebra(p2_Q().translate(shift), J)
-        assert alg.products == alg_t.products
+        assert alg.products.keys() == alg_t.products.keys()
+        for key, table in alg.products.items():
+            assert np.array_equal(table, alg_t.products[key])
         for j in range(1, J + 1):
             moved = [tuple(x + w for x, w in zip(g.point, shift))
                      for g in alg.pieces[j].basis]
@@ -285,8 +288,8 @@ def test_tables_match_cup_product_reference():
         alg = assemble_algebra(Q, J)
         index = [{g.point: i for i, g in enumerate(p.basis)} for p in alg.pieces]
         for (j, k), table in alg.products.items():
-            assert len(table) == alg.dimension(j) * alg.dimension(k)
-            for (pi, qi), ri in table.items():
+            assert table.size == alg.dimension(j) * alg.dimension(k)
+            for (pi, qi), ri in np.ndenumerate(table):
                 x, y = alg.pieces[j].basis[pi], alg.pieces[k].basis[qi]
                 # y read as the equivariant generator of (j, j+k)
                 z = cup_product(x, FloerGenerator(j, j + k, y.point, y.homological_degree), Q)
@@ -373,13 +376,16 @@ def test_serre_pairing_boundary_count():
 def test_dual_action_is_the_transpose(caplog):
     alg = assemble_algebra(p2_Q(), 2)
     dual = dual_action_table(alg, 1, 2)
-    direct = sorted((p, r, q) for (p, q), r in alg.products[(1, 1)].items())
+    direct = sorted((p, r, q) for (p, q), r in np.ndenumerate(alg.products[(1, 1)]))
     assert dual == direct
+    assert all(type(x) is int for entry in dual for x in entry)
     with caplog.at_level(logging.WARNING, logger="tropmirror.floer"):
         dual_action_table(alg, 1, 1)
     assert any("pairing" in r.message for r in caplog.records)
-    with pytest.raises(ValueError):
-        dual_action_table(alg, 2, 1)
+    # m < l, m past the truncation J = 2, and a negative twist have no table
+    for l, m in ((2, 1), (1, 3), (-1, 1)):
+        with pytest.raises(ValueError, match="no tabulated product"):
+            dual_action_table(alg, l, m)
 
 
 def test_random_triangle_predicate_agreement():

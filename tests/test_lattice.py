@@ -10,9 +10,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropmirror.lattice import (
@@ -467,6 +468,8 @@ small_point_sets = st.integers(1, 3).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(small_point_sets, st.sampled_from((F(1, 2), F(2, 3), F(1), F(3, 2))),
        st.integers(1, 4))
+@example([(-4, -4, -4), (4, -4, -4), (-4, 4, -4), (-4, -4, 4), (4, 4, 4), (4, 4, -4)],
+         F(3, 2), 4)  # the largest box: 51^3 points
 def test_enumerator_matches_brute_force(points, k, d):
     # rational dilation factors give non-integral halfspace bounds d*b, so
     # both the floor (boundary kept) and ceil - 1 (boundary dropped) limits
@@ -477,13 +480,22 @@ def test_enumerator_matches_brute_force(points, k, d):
               int(max(v[i] for v in q.vertices) * d) + 2)
         for i in range(q.n)
     ]
-    refined = [tuple(F(x, d) for x in p) for p in itertools.product(*box)]
-    assert lattice_points(q, d) == [p for p in refined if q.contains(p)]
+    # with d*b = num/den, den > 0, the point x/d satisfies <a, x/d> <= b iff
+    # the integer den*<a, x> is at most num (strictly below it for < b):
+    # exact integers, and no floor or ceil shared with the enumerator; a
+    # point's largest gap den*<a, x> - num decides both memberships
+    scaled = [(tuple(c * (d * b).denominator for c in a), (d * b).numerator)
+              for a, b in q.halfspaces]
+    gaps = [(x, max([sum(map(mul, a, x)) - num for a, num in scaled]))
+            for x in itertools.product(*box)]
+    frac = {c: F(c, d) for r in box for c in r}
+    assert lattice_points(q, d) == [tuple(map(frac.get, x)) for x, gap in gaps if gap <= 0]
     if q.degenerate:
         with pytest.raises(LowerDimensional):
             interior_lattice_points(q, d)
     else:
-        assert interior_lattice_points(q, d) == [p for p in refined if q.contains_strictly(p)]
+        assert interior_lattice_points(q, d) == [
+            tuple(map(frac.get, x)) for x, gap in gaps if gap < 0]
 
 
 def box_sweep(poly, d, strict):
