@@ -5,8 +5,13 @@ The ring basis in degree j is the dilate-and-count enumeration jQ cap Z^n;
 the Floer side uses the refine-and-count picture Q cap (1/j)Z^n.  Keeping the
 two enumeration routes separate is deliberate: the isomorphism check below
 compares them point by point, so collapsing them would make the verification
-vacuous.  The product check reads the algebra's int64 tables directly: one
-gather and one broadcast sum of integer image points per (j, k) slice.
+vacuous.  Both sides reach the check as integer tuples from the lattice
+sweep, with no `Fraction` in between: the ring bases are the integer points
+of jQ, and the image j*p of a Floer generator p is its numerator at the
+refinement j.  The product check reads the algebra's int64 tables directly:
+one gather and one broadcast sum of integer image points per (j, k) slice.
+The counts (Hilbert, interior, Serre) take the length of the public
+`Fraction` point lists.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .floer import GradedAlgebra, serre_dual_dimension
-from .lattice import Polytope, interior_lattice_points, lattice_points, solve_square
+from .lattice import (
+    Polytope,
+    _lattice_numerators,
+    interior_lattice_points,
+    lattice_points,
+    solve_square,
+)
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +79,7 @@ def section_ring(Q: Polytope, J: int) -> SectionRing:
         )
     bases = [((0,) * Q.n,)]
     for j in range(1, J + 1):
-        bases.append(tuple(tuple(int(x) for x in p) for p in lattice_points(Q.dilate(j))))
+        bases.append(tuple(_lattice_numerators(Q.dilate(j), 1, strict=False)))
     index_maps = tuple({m: i for i, m in enumerate(b)} for b in bases)
     return SectionRing(Q, J, tuple(bases), index_maps)
 
@@ -138,27 +149,20 @@ class IsomorphismReport:
         }
 
 
-def _phi(j: int, point) -> tuple[int, ...]:
-    """Generator map: the (1/j)-lattice point p of Q goes to j*p in jQ."""
-    scaled = tuple(Fraction(x) * j for x in point)
-    if any(x.denominator != 1 for x in scaled):
-        raise ValueError(f"{tuple(map(str, point))} is not a point of the (1/{j})-lattice")
-    return tuple(int(x) for x in scaled)
-
-
 def verify_isomorphism(alg: GradedAlgebra, ring: SectionRing) -> IsomorphismReport:
     """Check that the generator map is a graded ring isomorphism.
 
     Degree check: the map p -> j*p must biject each Floer basis onto the
-    ring basis.  Product check: for every tabulated product, the image of
-    the target equals the lattice-point sum of the images, decided for a
-    whole (j, k) table at once by one gather and one broadcast sum over
-    int64 image arrays.  Mismatches come in row-major (p, q) order within
+    ring basis; the image of a piece-j generator is its numerator at the
+    refinement j, which is exactly j*p.  Product check: for every tabulated
+    product, the image of the target equals the lattice-point sum of the
+    images, decided for a whole (j, k) table at once by one gather and one
+    broadcast sum over int64 image arrays.  Mismatches come in row-major (p, q) order within
     each table.  Exact; failures are collected, never raised.
     """
     if alg.J != ring.J:
         raise ValueError("algebra and ring were truncated at different degrees")
-    points = [[_phi(j, g.point) for g in piece.basis] for j, piece in enumerate(alg.pieces)]
+    points = [piece.numerators for piece in alg.pieces]
     degrees_ok = [sorted(img) == list(base) and len(set(img)) == len(img)
                   for img, base in zip(points, ring.bases)]
     # images[j] holds points[j] minus j*v0 as int64 rows: small however far Q sits

@@ -4,12 +4,15 @@ Generators are refined lattice points of Q (boundary included exactly when
 l1 < l2), triangles are decided by an ordering gate plus an exact membership
 rule for the affine target point, and the graded algebra of a polytope is
 assembled with all structure constants 0 or 1.  Nothing here is ever
-rounded: generators, `triangle_target`, `triangle_exists` and `cup_product`
-work in `Fraction`s, and `assemble_algebra` tabulates the ladder products
-and audits their associativity in exact int64 arithmetic on scaled
-generators j*(p - v0), with a bound check that raises before any value
-could wrap.  The algebra keeps each product table as the kernel's int64
-array, one (dim j, dim k) array of target indices per twist pair (j, k).
+rounded.  Each group carries its generators twice: as `Fraction` points, on
+which `triangle_target`, `triangle_exists` and `cup_product` work, and as
+their integer numerators at the group's refinement, read off the lattice
+sweep.  `assemble_algebra` tabulates the ladder products and audits their
+associativity from the numerators alone, in exact int64 arithmetic on
+scaled generators j*(p - v0), with a bound check that raises before any
+value could wrap.  The algebra keeps each product table as the kernel's
+int64 array, one (dim j, dim k) array of target indices per twist pair
+(j, k).
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import Polytope, frac_str, interior_lattice_points, lattice_points, vec
+from .lattice import (
+    Polytope,
+    _FractionCache,
+    _lattice_numerators,
+    frac_str,
+    interior_lattice_points,
+    vec,
+)
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +89,9 @@ class FloerGroup:
     l2: int
     polytope: Polytope
     basis: tuple[FloerGenerator, ...]
+    # numerators[i] = |l2 - l1| * basis[i].point as an int tuple (the zero
+    # vector when l1 = l2): the generators the integer kernels read
+    numerators: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -101,17 +114,15 @@ def floer_group(Q: Polytope, l1: int, l2: int) -> FloerGroup:
             "twisted-section geometry degenerates",
             stacklevel=2,
         )
-    if l1 < l2:
-        pts = lattice_points(Q, l2 - l1)
-        hom = n
-    elif l1 > l2:
-        pts = interior_lattice_points(Q, l1 - l2)
-        hom = 0
+    d = abs(l2 - l1) or 1
+    if l1 == l2:
+        nums = (zero,)
     else:
-        pts = [tuple(Fraction(0) for _ in range(n))]
-        hom = n
-    basis = tuple(FloerGenerator(l1, l2, p, hom) for p in pts)
-    return FloerGroup(l1, l2, Q, basis)
+        nums = tuple(_lattice_numerators(Q, d, strict=l1 > l2))
+    hom = 0 if l1 > l2 else n
+    frac = _FractionCache(d)
+    basis = tuple(FloerGenerator(l1, l2, tuple(frac[k] for k in p), hom) for p in nums)
+    return FloerGroup(l1, l2, Q, basis, nums)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +248,13 @@ def _ladder_tables(Q: Polytope, pieces: Sequence[FloerGroup], J: int) -> dict:
     """tables[(j, k)][p_idx, q_idx] = r_idx in piece j+k, as int64 arrays.
 
     A generator p of piece j >= 1 is carried as the integer vector
-    x = j*(p - v0), v0 the integer floor of the lower corner of Q's bounding
-    box, so every x is nonnegative and small however far Q sits from the
-    origin.  The triangle (0, j, j+k) has target r = (j p + k q)/(j+k), whose
-    scaled form is x + y: membership of r in Q is one integer halfspace test
-    against floor((j+k) b) for the bounds b of Q - v0, and its index is one
-    gather into a dense grid of piece j+k holding -1 where no generator sits.
+    x = j*(p - v0), its numerator j*p minus j*v0, v0 the integer floor of
+    the lower corner of Q's bounding box, so every x is nonnegative and
+    small however far Q sits from the origin.  The triangle (0, j, j+k) has
+    target r = (j p + k q)/(j+k), whose scaled form is x + y: membership of
+    r in Q is one integer halfspace test against floor((j+k) b) for the
+    bounds b of Q - v0, and its index is one gather into a dense grid of
+    piece j+k holding -1 where no generator sits.
     A repeated twist (j = 0 or k = 0) is the identity action.
     """
     n = Q.n
@@ -261,9 +273,9 @@ def _ladder_tables(Q: Polytope, pieces: Sequence[FloerGroup], J: int) -> dict:
 
     scaled, grids = [None], [None]  # piece 0 only enters the unit slices
     for j in range(1, J + 1):
+        # subtract in Python ints: the numerators alone may not fit in int64
         x = np.array(
-            [[int((c - v) * j) for c, v in zip(g.point, v0)] for g in pieces[j].basis],
-            dtype=np.int64,
+            [[c - j * v for c, v in zip(k, v0)] for k in pieces[j].numerators], dtype=np.int64
         ).reshape(-1, n)
         grid = np.full([j * e + 1 for e in extent], -1, dtype=np.int64)
         grid[tuple(x.T)] = np.arange(len(x))

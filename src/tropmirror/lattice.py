@@ -1,13 +1,17 @@
 """Exact lattice geometry: fans, support functions, polytopes, point counts.
 
-Everything in this module is exact: coordinates are `fractions.Fraction`,
-normals are primitive integer vectors, and no floating point is used
-anywhere.  Two algorithms are bounded to n <= 3 and raise
-UnsupportedDimension past it: the convex hull and the fan completeness
-test, each one algorithm for every n up to the bound.  Counting and
-membership are dimension-agnostic: lattice points come from one column
-sweep that gives each column of the box its integer interval of last
-coordinates by floor division.
+Everything in this module is exact and no floating point is used anywhere:
+the geometry (vertices, halfspace bounds, determinants) is in
+`fractions.Fraction`, and normals are primitive integer vectors.  Two
+algorithms are bounded to n <= 3 and raise UnsupportedDimension past it:
+the convex hull and the fan completeness test, each one algorithm for every
+n up to the bound.  Counting and membership are dimension-agnostic: lattice
+points come from one integer column sweep, `_lattice_columns`, that gives
+each column of the box its interval of last coordinates by floor division.
+Two readers sit on it: the public `lattice_points` and
+`interior_lattice_points` return `Fraction` points, and the private
+`_lattice_numerators` returns the integer numerators k of the points k/d,
+which the Floer ladder, the ring bases and the isomorphism check read.
 """
 
 from __future__ import annotations
@@ -394,18 +398,54 @@ def lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
     d=1 gives ordinary lattice points.  The points are found column by
     column with exact integer arithmetic, so the order is deterministic.
     """
-    return _lattice_scan(poly, d, strict=False)
+    return _fraction_points(poly, d, strict=False)
 
 
 def interior_lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
     """Strictly interior points of the (1/d)-lattice; needs full dimension."""
-    if poly.degenerate or poly.dim < poly.n:
-        raise LowerDimensional("interior of a lower-dimensional polytope is empty")
-    return _lattice_scan(poly, d, strict=True)
+    return _fraction_points(poly, d, strict=True)
 
 
-def _lattice_scan(poly: Polytope, d: int, strict: bool) -> list[Vec]:
+class _FractionCache(dict):
+    """k -> Fraction(k, d), each built on first use."""
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, k: int) -> Fraction:
+        self[k] = x = Fraction(k, self.d)
+        return x
+
+
+def _fraction_points(poly: Polytope, d: int, strict: bool) -> list[Vec]:
+    """The points k/d of the columns as `Fraction` tuples, in column order;
+    each Fraction(k, d) is built once per call."""
+    columns = _lattice_columns(poly, d, strict)
+    frac = _FractionCache(d)
+    out: list[Vec] = []
+    for head, lo, hi in columns:
+        fhead = tuple(frac[k] for k in head)
+        out.extend(fhead + (frac[k],) for k in range(lo, hi + 1))
+    return out
+
+
+def _lattice_numerators(poly: Polytope, d: int, strict: bool) -> list[tuple[int, ...]]:
+    """The numerators k of the points k/d, as int tuples in column order:
+    the same points, in the same order, as the public readers."""
+    return [head + (k,) for head, lo, hi in _lattice_columns(poly, d, strict)
+            for k in range(lo, hi + 1)]
+
+
+def _lattice_columns(
+    poly: Polytope, d: int, strict: bool
+) -> list[tuple[tuple[int, ...], int, int]]:
     """Column sweep of the (1/d)-lattice, boundary kept unless strict.
+
+    Returns the nonempty columns (head, lo, hi): the points of poly (of its
+    interior when strict) in the (1/d)-lattice are exactly the k/d with
+    k = head + (last,) and lo <= last <= hi, and listing each column's
+    range in turn gives them in lexicographic order.
 
     A point k/d satisfies <a, k/d> <= b iff the integer <a, k> is at most
     floor(d b), and <a, k/d> < b iff it is at most ceil(d b) - 1, so each
@@ -413,18 +453,18 @@ def _lattice_scan(poly: Polytope, d: int, strict: bool) -> list[Vec]:
     n - 1 box coordinates only.  In each column, what the head leaves of
     a limit bounds the last coordinate by floor division (above when
     a[-1] > 0, below when a[-1] < 0; a[-1] = 0 keeps or empties the whole
-    column), so the column's points are one integer interval, emitted in
-    lexicographic order.
+    column), so the column's points are one integer interval.
     """
+    if strict and (poly.degenerate or poly.dim < poly.n):
+        raise LowerDimensional("interior of a lower-dimensional polytope is empty")
     if not isinstance(d, int) or d < 1:
         raise ValueError("refinement d must be a positive integer")
     limits = [
         (a[:-1], a[-1], ceil(b * d) - 1 if strict else floor(b * d)) for a, b in poly.halfspaces
     ]
     ranges = [range(ceil(lo * d), floor(hi * d) + 1) for lo, hi in poly.bounding_box()]
-    frac = {k: Fraction(k, d) for r in ranges for k in r}
     last = ranges[-1]
-    out: list[Vec] = []
+    columns = []
     for head in itertools.product(*ranges[:-1]):
         lo, hi = last.start, last.stop - 1
         for a, c, lim in limits:
@@ -436,9 +476,9 @@ def _lattice_scan(poly: Polytope, d: int, strict: bool) -> list[Vec]:
             elif rest < 0:
                 break
         else:
-            fhead = tuple(frac[k] for k in head)
-            out.extend(fhead + (frac[k],) for k in range(lo, hi + 1))
-    return out
+            if lo <= hi:
+                columns.append((head, lo, hi))
+    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from tropmirror.floer import assemble_algebra, floer_group
 from tropmirror.coordring import (
     IsomorphismReport,
     NonLatticePolytope,
-    _phi,
     ehrhart_polynomial,
     eval_poly,
     hilbert_function,
@@ -210,12 +209,6 @@ def test_corrupted_slices_match_the_per_product_check():
         for x in dict(entry)["expected"] + dict(entry)["got"]:
             assert type(x) is int
     assert report.products_checked == sum(t.size for t in alg.products.values())
-
-
-def test_phi_rejects_a_point_off_the_refined_lattice():
-    assert _phi(2, (Fraction(1, 2), 1)) == (1, 2)
-    with pytest.raises(ValueError, match="not a point of the"):
-        _phi(2, (Fraction(1, 3), 1))
 
 
 def test_isomorphism_invariant_under_translation_and_gl():

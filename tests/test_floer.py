@@ -336,7 +336,7 @@ def test_kernel_rejects_generators_outside_the_polytope():
     with pytest.raises(RuntimeError, match="ladder product vanished"):
         _ladder_tables(corner, pieces, 2)
     # a target generator missing from piece 2 is a grid miss, not a silent index
-    holed = pieces[:2] + (FloerGroup(0, 2, Q, pieces[2].basis[1:]),)
+    holed = pieces[:2] + (FloerGroup(0, 2, Q, pieces[2].basis[1:], pieces[2].numerators[1:]),)
     with pytest.raises(RuntimeError, match="hit no generator"):
         _ladder_tables(Q, holed, 2)
 

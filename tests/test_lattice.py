@@ -9,6 +9,7 @@ then frozen.
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 from operator import mul
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropmirror.floer import floer_group
 from tropmirror.lattice import (
     Fan,
     LowerDimensional,
@@ -23,6 +25,7 @@ from tropmirror.lattice import (
     NotConvex,
     Polytope,
     Unbounded,
+    _lattice_numerators,
     hull,
     interior_lattice_points,
     is_smooth,
@@ -465,6 +468,25 @@ small_point_sets = st.integers(1, 3).flatmap(
 )
 
 
+def brute_force_gaps(q, d):
+    """The integer points x of q's (d-scaled, padded) bounding box, each
+    with its largest gap: x/d lies in q iff the gap is <= 0, inside iff < 0.
+
+    With d*b = num/den, den > 0, the point x/d satisfies <a, x/d> <= b iff
+    the integer den*<a, x> is at most num (strictly below it for < b):
+    exact integers, and no floor or ceil shared with the enumerator.
+    """
+    box = [
+        range(int(min(v[i] for v in q.vertices) * d) - 1,
+              int(max(v[i] for v in q.vertices) * d) + 2)
+        for i in range(q.n)
+    ]
+    scaled = [(tuple(c * (d * b).denominator for c in a), (d * b).numerator)
+              for a, b in q.halfspaces]
+    return box, [(x, max([sum(map(mul, a, x)) - num for a, num in scaled]))
+                 for x in itertools.product(*box)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_point_sets, st.sampled_from((F(1, 2), F(2, 3), F(1), F(3, 2))),
        st.integers(1, 4))
@@ -475,19 +497,7 @@ def test_enumerator_matches_brute_force(points, k, d):
     # both the floor (boundary kept) and ceil - 1 (boundary dropped) limits
     # are exercised
     q = hull(points).dilate(k)
-    box = [
-        range(int(min(v[i] for v in q.vertices) * d) - 1,
-              int(max(v[i] for v in q.vertices) * d) + 2)
-        for i in range(q.n)
-    ]
-    # with d*b = num/den, den > 0, the point x/d satisfies <a, x/d> <= b iff
-    # the integer den*<a, x> is at most num (strictly below it for < b):
-    # exact integers, and no floor or ceil shared with the enumerator; a
-    # point's largest gap den*<a, x> - num decides both memberships
-    scaled = [(tuple(c * (d * b).denominator for c in a), (d * b).numerator)
-              for a, b in q.halfspaces]
-    gaps = [(x, max([sum(map(mul, a, x)) - num for a, num in scaled]))
-            for x in itertools.product(*box)]
+    box, gaps = brute_force_gaps(q, d)
     frac = {c: F(c, d) for r in box for c in r}
     assert lattice_points(q, d) == [tuple(map(frac.get, x)) for x, gap in gaps if gap <= 0]
     if q.degenerate:
@@ -496,6 +506,30 @@ def test_enumerator_matches_brute_force(points, k, d):
     else:
         assert interior_lattice_points(q, d) == [
             tuple(map(frac.get, x)) for x, gap in gaps if gap < 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_point_sets, st.sampled_from((F(1, 2), F(2, 3), F(1), F(3, 2))),
+       st.integers(1, 3))
+def test_integer_reader_matches_the_public_points(points, k, d):
+    # the numerators k of the points k/d: the brute-force scan's points, and
+    # d times the public points in the same order, as Python ints
+    q = hull(points).dilate(k)
+    _, gaps = brute_force_gaps(q, d)
+    for strict, public in ((False, lattice_points), (True, interior_lattice_points)):
+        if strict and q.degenerate:
+            with pytest.raises(LowerDimensional):
+                _lattice_numerators(q, d, strict)
+            continue
+        nums = _lattice_numerators(q, d, strict)
+        assert nums == [x for x, gap in gaps if (gap < 0 if strict else gap <= 0)]
+        assert nums == [tuple(d * x for x in p) for p in public(q, d)]
+        assert all(type(c) is int for p in nums for c in p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the origin need not be interior
+        group = floer_group(q, 0, d)
+    assert group.numerators == tuple(tuple(d * x for x in g.point) for g in group.basis)
+    assert list(group.numerators) == [x for x, gap in gaps if gap <= 0]
 
 
 def box_sweep(poly, d, strict):
