@@ -50,7 +50,6 @@ from .lattice import (
     NotConvex,
     Polytope,
     Unbounded,
-    UnsupportedDimension,
     frac_str,
     polytope_from_bundle,
     require_convex,
@@ -494,7 +493,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
     except (MalformedFan, InvalidEps, EmptyWindow, DegenerateSupport, NotTriangulation,
-            UnsupportedDimension, OSError) as e:
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED
     except Exception as e:

@@ -110,9 +110,8 @@ def ehrhart_polynomial(Q: Polytope) -> tuple[Fraction, ...]:
     n = Q.n
     values = hilbert_function(Q, n)
     rows = [[Fraction(j) ** e for e in range(n + 1)] for j in range(n + 1)]
-    coeffs = solve_square(rows, [Fraction(v) for v in values])
-    assert coeffs is not None
-    return tuple(coeffs)
+    # a Vandermonde matrix at distinct nodes is never singular
+    return solve_square(rows, [Fraction(v) for v in values])
 
 
 def eval_poly(coeffs: Sequence[Fraction], x) -> Fraction:

@@ -2,10 +2,11 @@
 
 Everything in this module is exact and no floating point is used anywhere:
 the geometry (vertices, halfspace bounds, determinants) is in
-`fractions.Fraction`, and normals are primitive integer vectors.  Two
-algorithms are bounded to n <= 3 and raise UnsupportedDimension past it:
-the convex hull and the fan completeness test, each one algorithm for every
-n up to the bound.  Counting and membership are dimension-agnostic: lattice
+`fractions.Fraction`, and normals are primitive integer vectors.  Each
+algorithm is one algorithm for every dimension n >= 1: the convex hull, the
+vertex enumeration with its recession test, and the fan completeness test
+are exact for every n (their docstrings give the proofs), at a cost that
+grows with the number of n-subsets of their input.  Lattice
 points come from one integer column sweep, `_lattice_columns`, that gives
 each column of the box its interval of last coordinates by floor division.
 Two readers sit on it: the public `lattice_points` and
@@ -38,10 +39,6 @@ class Unbounded(ValueError):
 
 class LowerDimensional(ValueError):
     """Operation needs a full-dimensional polytope but got a degenerate one."""
-
-
-class UnsupportedDimension(ValueError):
-    """An algorithm bounded to dimension <= 3 met a higher-dimensional input."""
 
 
 Vec = tuple[Fraction, ...]
@@ -271,7 +268,17 @@ class Polytope:
 
 
 def _recession_nontrivial(rows: list[Vec], n: int) -> bool:
-    """Is there d != 0 with <a_i, d> <= 0 for all i?  Exact, n <= 3."""
+    """Is there d != 0 with <a_i, d> <= 0 for all i?  Exact for every n.
+
+    Every candidate is tested against all rows, so True is always right.
+    Fewer than n rows leave a nonzero nullspace, which lies in the cone.
+    Otherwise, if the rows have rank r < n, some n - 1 rows contain r
+    independent ones; that subset's nullspace is the lineality space of
+    the cone, nonzero, so its basis vectors pass.  If r = n the cone is
+    pointed, and when it is not {0} it has an extreme ray: a direction
+    where n - 1 independent rows are tight, so that subset's nullspace is
+    the line through it, and one of its two signs passes.
+    """
     if len(rows) < n:
         return True
     # candidate extreme ray directions come from (n-1)-subsets of normals
@@ -287,18 +294,21 @@ def _recession_nontrivial(rows: list[Vec], n: int) -> bool:
 
 
 def hull(points: Sequence[Sequence]) -> Polytope:
-    """Exact convex hull for n <= 3.
+    """Exact convex hull in every dimension.
 
-    Lower-dimensional input is not an error: the result keeps its affine
-    hull as equality pairs in the H-representation and is flagged via
-    `degenerate` (vertices are still the true extreme points).
+    Each facet of a full-dimensional hull in R^n holds n affinely
+    independent input points, so the hyperplanes through n-subsets with
+    every point on one side are exactly the facets; a point is a vertex iff
+    the normals of its tight facets have rank n.  Lower-dimensional input
+    is not an error: its hull is taken in coordinates on its affine hull,
+    and the result keeps that affine hull as equality pairs in the
+    H-representation and is flagged via `degenerate` (vertices are still
+    the true extreme points).
     """
     pts = sorted(set(vec(p) for p in points))
     if not pts:
         raise ValueError("hull of an empty point set")
     n = len(pts[0])
-    if n > 3:
-        raise UnsupportedDimension("hull is only supported for n <= 3")
     d = affine_dim(pts)
     if d == 0:
         hs = []
@@ -357,12 +367,9 @@ def _hull_degenerate(pts: list[Vec], n: int, d: int) -> Polytope:
 
     def coords(p: Vec) -> Vec:
         rhs = [p[c] - p0[c] for c in cols]
-        lam = solve_square([[basis[j][c] for j in range(d)] for c in cols], rhs)
-        assert lam is not None
-        return lam
+        return solve_square([[basis[j][c] for j in range(d)] for c in cols], rhs)
 
-    inner = hull([coords(p) for p in pts]) if d > 0 else None
-    assert inner is not None
+    inner = hull([coords(p) for p in pts])
     lift = {coords(p): p for p in pts}
     verts = tuple(lift[v] for v in inner.vertices)
 
@@ -535,18 +542,22 @@ class Fan:
         return [self.rays[i] for i in cone]
 
     def is_complete(self) -> bool:
-        """Does the fan support cover all of R^n?  Exact degree test, n <= 3.
+        """Does the fan support cover all of R^n?  Exact degree test, every n.
 
         Every ridge (n - 1 rays of a maximal cone) must be shared by exactly
-        two maximal cones lying on opposite sides of its hyperplane, so the
-        cones wrap the sphere of directions with one orientation; then the
-        number of cones containing a direction off every hyperplane through
-        n - 1 rays is the degree, which must be 1.  In n = 1 the one ridge is
-        the empty set and its hyperplane is the origin.
+        two maximal cones lying on opposite sides of its hyperplane.  Then
+        the number of cones containing a generic direction (one off every
+        hyperplane spanned by n - 1 rays) is the same everywhere: a path
+        between two generic directions can cross those hyperplanes one at a
+        time, off every face of dimension n - 2, and at each crossing the
+        cones it leaves and enters pair up by the ridge they meet it in, one
+        of each pair on each side.  So that count is the degree of the
+        cones over the sphere of directions, and the cones cover R^n once,
+        as a complete fan's do, iff it is 1.  `_generic_direction` gives
+        one such direction.  In n = 1 the one ridge is the empty set and
+        its hyperplane is the origin.
         """
         n = self.n
-        if n > 3:
-            raise UnsupportedDimension("completeness test implemented for n <= 3 only")
         opposite: dict[tuple[int, ...], list[int]] = {}  # ridge -> opposite rays
         for c in self.max_cones:
             if len(c) != n:

@@ -193,7 +193,7 @@ def check_bundle_subdivision(fan: Fan, phi: Sequence) -> bool:
 def legendre_value(h: HeightFunction, u: Sequence) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
     """L_nu(u) = max(<alpha,u> - nu(alpha)) with its full tie set, exactly."""
     uu = vec(u)
-    best: Fraction | None = None
+    best: Fraction | None = None  # the support is never empty
     arg: list[tuple[int, ...]] = []
     for p, v in zip(h.points, h.values):
         val = dot(p, uu) - v
@@ -201,7 +201,6 @@ def legendre_value(h: HeightFunction, u: Sequence) -> tuple[Fraction, tuple[tupl
             best, arg = val, [p]
         elif val == best:
             arg.append(p)
-    assert best is not None
     return best, tuple(sorted(arg))
 
 
@@ -374,9 +373,8 @@ def face_geometry(face: TropicalFace, n: int):
                 rhs.append(r)
             if len(rows) == n:
                 break
-        sol = solve_square(rows, rhs)
-        assert sol is not None
-        return ("point", sol)
+        # n independent rows are nonsingular, and fewer raise in solve_square
+        return ("point", solve_square(rows, rhs))
     if n != 2 or face.dim != 1:
         raise ValueError("geometric realization implemented for n <= 2")
     a, r = face.equalities[0]
@@ -621,7 +619,8 @@ def choose_scale(k: TropicalConstants, eps: float) -> float:
     if L > 709.0:
         raise InvalidEps("required scale exceeds double precision; eps too small")
     t = math.exp(L)
-    assert _scale_ok(k, eps, math.log(t))
+    if not _scale_ok(k, eps, math.log(t)):
+        raise RuntimeError(f"certified log t* = {L!r} fails the decay inequalities")
     return t
 
 

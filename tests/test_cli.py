@@ -36,6 +36,18 @@ P3 = {
     "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
     "phi": ["1", "1", "1", "1"],
 }
+P4 = {
+    "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
+    "max_cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]],
+    "phi": ["1"] * 5,
+}
+P2XP2 = {
+    "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0],
+             [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1]],
+    "max_cones": [[a, b, c, d] for a, b in ((0, 1), (1, 2), (0, 2))
+                  for c, d in ((3, 4), (4, 5), (3, 5))],
+    "phi": ["1"] * 6,
+}
 NONCONVEX = {
     "rays": [[1, 0], [0, 1], [-1, -1]],
     "max_cones": [[0, 1], [1, 2], [0, 2]],
@@ -105,21 +117,27 @@ def test_malformed_inputs_exit1(tmp_path):
 def test_input_errors_are_not_internal_errors(tmp_path, capsys):
     out = str(tmp_path / "out")
     flat = dict(P1XP1, phi=["0", "0", "0", "0"])  # one square cell, no triangulation
-    p4_rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]]
-    p4 = {"rays": p4_rays, "max_cones": [[0, 1, 2, 3]], "phi": ["1"] * 5}
     for command, broken in (
         ("subdivide", {"rays": 5, "max_cones": [[0]], "phi": ["1"]}),  # not a list
         ("subdivide", {"rays": [["x", 0]], "max_cones": [[0]], "phi": ["1"]}),
         ("subdivide", {"rays": [[1, 0]], "max_cones": [[0]], "phi": ["1/0"]}),
         ("tropical", {"rays": [[1, 0], [-1, 0]], "max_cones": [[0], [1]], "phi": ["1", "1"]}),
         ("tropical", flat),
-        ("verify", p4),  # the completeness test stops at n = 3
         ("tropical", dict(P2, max_cones=[[0], [1], [2]])),  # cones of one ray
         ("amoeba", dict(P2, max_cones=[[0, 1]])),  # ray 2 lies in no cone
     ):
         fan = write_fan(tmp_path, broken, "broken.json")
         assert main([command, "--input", fan, "--out", out]) == 1, (command, broken)
         assert "internal error" not in capsys.readouterr().err
+    # rank 4 is decided, not refused: P4 with a single cone is not complete
+    fan = write_fan(tmp_path, dict(P4, max_cones=[[0, 1, 2, 3]]), "broken.json")
+    assert main(["verify", "--input", fan, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "fan is not complete" in err and "internal error" not in err
+    # amoeba sampling alone stays rank 2
+    assert main(["amoeba", "--input", write_fan(tmp_path, P4), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "needs a rank-2 fan, got rank 4" in err and "internal error" not in err
 
 
 def test_nonconvex_exit2_in_every_command(tmp_path, capsys):
@@ -332,6 +350,21 @@ def test_verify_p2_passes(tmp_path):
     assert data["isomorphism"]["mismatches"] == []
     assert data["serre"]["verdict"] == "pass"
     assert data["dimensions"]["floer"] == data["dimensions"]["ring"] == [1, 10, 28]
+
+
+@pytest.mark.parametrize("payload, dims", [
+    (P4, [1, 126, 1001, 3876]),  # C(5j + 4, 4)
+    (P2XP2, [1, 100, 784, 3025]),  # the squares of P2's 1, 10, 28, 55
+], ids=["P4", "P2xP2"])
+def test_verify_passes_in_rank_four(tmp_path, payload, dims):
+    fan = write_fan(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["verify", "--input", fan, "--J", "3", "--out", str(out)]) == 0
+    data = json.loads((out / "verify.json").read_text())
+    assert data["verdict"] == "pass"
+    assert data["isomorphism"]["products_checked"] > 0
+    assert data["isomorphism"]["mismatches"] == []
+    assert data["dimensions"]["floer"] == data["dimensions"]["ring"] == dims
 
 
 def test_verify_mismatch_exit4(tmp_path, monkeypatch):

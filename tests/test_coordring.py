@@ -7,7 +7,9 @@ against the explicit H-rep of each fixture (oracle_count), closed forms
 injections below corrupt table entries to pin the mismatch accounting.
 """
 
+import itertools
 import logging
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +34,11 @@ from tropmirror.coordring import (
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 P1_FAN = Fan(((1,), (-1,)), ((0,), (1,)))
 P1XP1_FAN = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+F1_FAN = Fan(((1, 0), (0, 1), (-1, 1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+P3_FAN = Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+             ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+P4_FAN = Fan(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)),
+             tuple(itertools.combinations(range(5), 4)))
 
 
 def p2_Q():
@@ -129,6 +136,41 @@ def test_interior_counts_shifted_by_reciprocity():
     coeffs = ehrhart_polynomial(Q)
     for j in range(1, 4):
         assert eval_poly(coeffs, -j) == interior_counts(Q, j)[j]
+
+
+def test_p4_counts_match_binomials():
+    # Q is 5 times the standard simplex, moved: C(5j + 4, 4) points in jQ,
+    # C(5j - 1, 4) inside it
+    Q = polytope_from_bundle(P4_FAN, (1,) * 5)
+    assert hilbert_function(Q, 4) == [math.comb(5 * j + 4, 4) for j in range(5)]
+    assert interior_counts(Q, 4) == [0] + [math.comb(5 * j - 1, 4) for j in range(1, 5)]
+
+
+STANDING = {
+    "P1": (P1_FAN, (1, 1)),
+    "P2": (P2_FAN, (1, 1, 1)),
+    "P1xP1": (P1XP1_FAN, (1, 1, 1, 1)),
+    "F1": (F1_FAN, (1, 1, 2, 1)),
+    "P3": (P3_FAN, (1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("a, b", itertools.combinations_with_replacement(STANDING, 2))
+def test_product_hilbert_function_is_the_product(a, b):
+    # the product fan (rays and cones side by side, phi concatenated) has
+    # the product polytope, so its counts multiply; counts alone do not
+    # depend on the enumerator's output order
+    (fa, pa), (fb, pb) = STANDING[a], STANDING[b]
+    za, zb = (0,) * fa.n, (0,) * fb.n
+    k = len(fa.rays)
+    fan = Fan(tuple(r + zb for r in fa.rays) + tuple(za + r for r in fb.rays),
+              tuple(ca + tuple(k + i for i in cb) for ca in fa.max_cones for cb in fb.max_cones))
+    J = 3 if fan.n <= 4 else 2
+    Q = polytope_from_bundle(fan, pa + pb)
+    assert is_smooth(fan) and not Q.degenerate
+    ha = hilbert_function(polytope_from_bundle(fa, pa), J)
+    hb = hilbert_function(polytope_from_bundle(fb, pb), J)
+    assert hilbert_function(Q, J) == [x * y for x, y in zip(ha, hb)]
 
 
 def test_counts_reject_a_negative_top_degree():

@@ -123,6 +123,14 @@ P1XP1_FAN = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (3,
 P112_FAN = Fan(((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (0, 2)))
 
 
+def _units(n):
+    return [tuple(int(i == k) for i in range(n)) for k in range(n)]
+
+
+P4_FAN = Fan(tuple(_units(4)) + ((-1, -1, -1, -1),),
+             tuple(tuple(c) for c in itertools.combinations(range(5), 4)))
+
+
 def p2_triangle():
     return polytope_from_bundle(P2_FAN, (1, 1, 1))
 
@@ -304,6 +312,82 @@ def test_plane_completeness_matches_coverage_oracle():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def oracle_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * oracle_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)))
+
+
+def oracle_direction_coverage(rays, cones, samples=200, seed=11):
+    """Does every sampled direction lie inside exactly one cone?  Cramer's
+    rule with cofactor determinants: w = sum l_i r_i has l_i of the sign of
+    det(M) * det(M with column i replaced by w), and the second factor is
+    <c_i, w> for the cofactors c_i of column i.  Directions on some cone's
+    boundary (an l_i of 0) are skipped, so the rest decide it."""
+    n = len(rays[0])
+    if any(len(c) != n for c in cones):
+        return False
+    signed = []  # per cone, the rows det(M) * c_i
+    for c in cones:
+        m = [[rays[i][k] for i in c] for k in range(n)]  # the rays as columns
+        det = oracle_det(m)
+        if det == 0:
+            return False
+        signed.append([[det * (-1) ** (k + i) * oracle_det(
+            [r[:i] + r[i + 1:] for kk, r in enumerate(m) if kk != k]) for k in range(n)]
+            for i in range(n)])
+    rng = random.Random(seed)
+    for _ in range(samples):
+        w = [rng.randint(-30, 30) for _ in range(n)]
+        inside, boundary = 0, False
+        for rows in signed:
+            signs = [sum(map(mul, r, w)) for r in rows]
+            boundary |= 0 in signs and all(x >= 0 for x in signs)
+            inside += all(x > 0 for x in signs)
+        if not boundary and inside != 1:
+            return False
+    return True
+
+
+def _join(a, b):
+    """The fan of cones a_cone + b_cone in R^(n_a + n_b): the product fan
+    when a and b are complete fans, and of degree deg(a) * deg(b)."""
+    za, zb = (0,) * a.n, (0,) * b.n
+    rays = tuple(r + zb for r in a.rays) + tuple(za + r for r in b.rays)
+    k = len(a.rays)
+    return Fan(rays, tuple(ca + tuple(k + i for i in cb)
+                           for ca in a.max_cones for cb in b.max_cones))
+
+
+def test_rank_four_completeness_matches_coverage_oracle():
+    winding_two = _cyclic_fan(((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
+    winding_zero = _cyclic_fan(((1, 0), (-1, 1), (-1, -1), (0, 1), (1, -2)))
+    fans = {
+        "P4": P4_FAN,
+        "P2xP2": _join(P2_FAN, P2_FAN),
+        "P1xP3": _join(P1_FAN, P3_FAN),
+        "P1xP1xP1xP1": _join(P1XP1_FAN, P1XP1_FAN),
+        # every ridge is oriented consistently, and each direction lies in two cones
+        "degree two": _join(winding_two, P2_FAN),
+        "folded": _join(winding_zero, P2_FAN),
+    }
+    for k in range(5):
+        fans[f"P4 without cone {k}"] = Fan(
+            P4_FAN.rays, P4_FAN.max_cones[:k] + P4_FAN.max_cones[k + 1:])
+    verdicts = {}
+    for name, fan in fans.items():
+        verdicts[name] = fan.is_complete()
+        assert verdicts[name] == oracle_direction_coverage(fan.rays, fan.max_cones), name
+    assert [name for name, v in verdicts.items() if v] == [
+        "P4", "P2xP2", "P1xP3", "P1xP1xP1xP1"]
+    with pytest.raises(Unbounded, match="not complete"):
+        polytope_from_bundle(fans["degree two"], (1,) * 8)
+    with pytest.raises(Unbounded, match="not complete"):
+        polytope_from_bundle(fans["P4 without cone 0"], (1,) * 5)
+
+
 def test_nonconvex_support_named_pair():
     with pytest.raises(NotConvex) as ei:
         polytope_from_bundle(P2_FAN, (1, 1, -5))
@@ -367,6 +451,52 @@ def test_hull_3d_smoke():
     assert len(h.vertices) == 4 and h.dim == 3
     assert h.contains((F(1, 4), F(1, 4), F(1, 4)))
     assert not h.contains((1, 1, 1))
+
+
+def test_hull_in_four_and_five_dimensions():
+    # square x triangle: every facet holds more than 4 of the 12 points
+    prism = hull([a + b for a in itertools.product((0, 1), repeat=2)
+                  for b in ((0, 0), (1, 0), (0, 1))])
+    assert len(prism.vertices) == 12 and len(prism.halfspaces) == 7
+    assert prism.dim == 4 and not prism.degenerate
+    assert prism.contains((F(1, 2), F(1, 2), F(1, 3), F(1, 3)))
+    assert not prism.contains((F(1, 2), F(1, 2), F(2, 3), F(2, 3)))
+    for n in (4, 5):
+        units = _units(n)
+        cross = hull(units + [tuple(-x for x in e) for e in units])
+        assert len(cross.vertices) == 2 * n and len(cross.halfspaces) == 2 ** n
+        # the facets are <s, y> <= 1 for the 2^n sign vectors s
+        assert sorted(cross.halfspaces) == sorted(
+            (s, F(1)) for s in itertools.product((-1, 1), repeat=n))
+    square = hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])
+    assert square.degenerate and square.dim == 2 and len(square.vertices) == 4
+    # the affine hull y3 = y4 = 0 is kept as two pairs of opposite rows
+    for e in ((0, 0, 1, 0), (0, 0, 0, 1)):
+        assert (e, 0) in square.halfspaces
+        assert (tuple(-x for x in e), 0) in square.halfspaces
+    assert square.contains((F(1, 2), F(1, 2), 0, 0))
+    assert not square.contains((F(1, 2), F(1, 2), 0, F(1, 100)))
+
+
+def test_from_halfspaces_in_four_and_five_dimensions():
+    units = _units(4)
+    cube = Polytope.from_halfspaces(units + [tuple(-x for x in e) for e in units], [1] * 8)
+    assert len(cube.vertices) == 16 and len(cube.halfspaces) == 8
+    assert set(cube.vertices) == set(itertools.product((F(-1), F(1)), repeat=4))
+    with pytest.raises(Unbounded):  # pointed recession cone: the negative orthant
+        Polytope.from_halfspaces(units, [1] * 4)
+    lineal = units[:3] + [tuple(-x for x in e) for e in units[:3]]
+    with pytest.raises(Unbounded):  # lineality space: the e4 axis
+        Polytope.from_halfspaces(lineal, [1] * 6)
+    for n in (4, 5):
+        # the moment polytope of P^n: n + 1 vertices, (1, ..., 1) and its
+        # images with one coordinate moved to -n
+        units = _units(n)
+        simplex = Polytope.from_halfspaces(units + [(-1,) * n], [1] * (n + 1))
+        assert not simplex.degenerate and simplex.dim == n
+        assert simplex.vertices == tuple(sorted(
+            [(F(1),) * n] + [tuple(F(-n) if i == k else F(1) for i in range(n))
+                             for k in range(n)]))
 
 
 # ---------------------------------------------------------------------------

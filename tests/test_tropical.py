@@ -8,8 +8,12 @@ computed from those oracles once and pinned.
 """
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tropmirror
 from tropmirror.lattice import Fan, NotConvex, affine_dim, dot, hull, polytope_from_bundle
 from tropmirror.tropical import (
     Cell,
@@ -612,6 +617,42 @@ def test_certified_log_scale_past_double_range():
     assert not oracle_scale_ok(k3, 0.1, L * (1 - 1e-5))
     with pytest.raises(InvalidEps):
         choose_scale(k3, 0.1)
+
+
+UNCERTIFIED_SCALE = """
+import sys
+from tropmirror import cli, tropical
+if not sys.flags.optimize:
+    sys.exit("run this under python -O")
+tropical.certified_log_scale = lambda k, eps: 1.0  # P2 needs log t* = 377.06
+fan, phi = cli.load_fan_json(sys.argv[1])
+k = tropical.tropical_constants(tropical.TropicalComplex(
+    tropical.HeightFunction.from_bundle(fan, phi)))
+try:
+    tropical.choose_scale(k, 0.1)
+except RuntimeError as e:
+    print("raised:", e)
+print("exit", cli.main(["tropical", "--input", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_choose_scale_checks_its_certificate_under_optimize(tmp_path):
+    # python -O strips asserts, so the check must be an explicit raise; the
+    # CLI reports it as an internal error (exit 5).  pytest itself cannot
+    # run under -O here, so the check runs in a subprocess.
+    fan = tmp_path / "p2.json"
+    fan.write_text(json.dumps({"rays": P2_FAN.rays, "max_cones": P2_FAN.max_cones,
+                               "phi": ["1", "1", "1"]}))
+    src = os.path.dirname(os.path.dirname(tropmirror.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", UNCERTIFIED_SCALE, str(fan), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised: certified log t* = 1.0 fails the decay inequalities", "exit 5"]
+    assert "internal error in tropical: RuntimeError" in proc.stderr
 
 
 def test_choose_scale_invalid_eps():
