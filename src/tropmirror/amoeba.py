@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -55,19 +56,32 @@ class NoCrossing(RuntimeError):
 
 def _libm(fn, *args) -> np.ndarray:
     """fn (a libm function: math.exp, pow, ...) elementwise as float64; numpy's
-    vectorised versions may round the last bit differently."""
-    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+    vectorised versions may round the last bit differently.  The arguments
+    broadcast; each element reaches fn as the Python number tolist() gives."""
+    arrays = [np.asarray(a) for a in args]
+    shape = arrays[0].shape
+    if any(a.ndim and a.shape != shape for a in arrays):
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        arrays = [a if a.ndim == 0 else np.broadcast_to(a, shape) for a in arrays]
+    columns = [repeat(a.item()) if a.ndim == 0 else a.ravel().tolist() for a in arrays]
+    return np.fromiter(map(fn, *columns), float, math.prod(shape)).reshape(shape)
 
 
 def _exp(x) -> np.ndarray:
-    """_libm(math.exp, x), but inf where the result overflows a double."""
+    """_libm(math.exp, x), but inf where the result overflows a double.
+
+    math.exp is finite for every x <= 709, so only the entries above it go
+    through the wrapper that catches OverflowError."""
     def exp(v):
         try:
             return math.exp(v)
         except OverflowError:
             return math.inf
-    with np.errstate(over="ignore"):
-        return _libm(exp, x)
+    x = np.asarray(x, dtype=float)
+    out = _libm(math.exp, np.minimum(x, 709.0))
+    big = x > 709.0
+    out[big] = _libm(exp, x[big])
+    return out
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -491,9 +505,13 @@ def _newton_continuation(F: PatchworkFamily, free, u, theta, z):
 
 @dataclass
 class SampleResult:
+    """The emitted points of amoeba_sample_curve, with what its final
+    evaluation at each of them found."""
+
     points: np.ndarray       # (N, 2) Log-coordinates u of emitted points
     angles: np.ndarray       # (N, 2) arguments theta of the same points
-    residuals: np.ndarray    # absolute |f| at each point
+    residuals: np.ndarray    # absolute |f| at each point, below 1e-8
+    margins: np.ndarray      # symplectic_margin(F, (points, angles)), bit for bit
     degenerate_fibers: int
     dropped: dict            # roots dropped, by reason (see amoeba_sample_curve)
 
@@ -520,9 +538,11 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     and roots are lost.  Each lost root is counted in `dropped` by its first
     reason: `non_finite` (solver gave 0 or non-finite), `newton`
     (continuation failed), `window` (outside the window), `residual` (final
-    |f| non-finite or above 1e-8; |f| = e^{mstar} |f_hat| is taken as
-    infinite where e^{mstar} overflows).  The final |f| is combined at F.s
-    from the terms the continuation kept, not evaluated again.
+    |f| non-finite or not below 1e-8, the precondition of symplectic_margin;
+    |f| = e^{mstar} |f_hat| is taken as infinite where e^{mstar} overflows).
+    The final |f| and the margins are combined at F.s from the terms the
+    continuation kept, not evaluated again: each kept point's residual and
+    margin are those symplectic_margin computes at it.
     """
     if F.n != 2:
         raise ValueError("fiber sampling is implemented for n = 2")
@@ -544,13 +564,15 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     uf = u[k, 1 - axis]
     inside = ok & (windows[1 - axis, 0] <= uf) & (uf <= windows[1 - axis, 1])
     mstar, *rest = _rows(state, inside)
-    val = F._combine(*rest, F.s)[0]
+    val, dh, dbh = F._combine(*rest, F.s)
+    scale = _exp(mstar)
     with np.errstate(invalid="ignore"):  # e^{mstar} = inf times 0 is non-finite: dropped
-        residuals = _exp(mstar) * np.hypot(val.real, val.imag)
-    good = np.isfinite(residuals) & (residuals <= 1e-8)
+        residuals = scale * np.hypot(val.real, val.imag)
+    good = np.isfinite(residuals) & (residuals < 1e-8)
+    margins = scale[good] * (_norm(dh[good]) - _norm(dbh[good]))
     dropped = {reason: int(np.count_nonzero(mask)) for reason, mask in (
         ("non_finite", ~found), ("newton", ~ok), ("window", ok & ~inside), ("residual", ~good))}
-    return SampleResult(u[inside][good], theta[inside][good], residuals[good],
+    return SampleResult(u[inside][good], theta[inside][good], residuals[good], margins,
                         int(np.count_nonzero(degenerate)), dropped)
 
 
@@ -563,7 +585,9 @@ def symplectic_margin(F: PatchworkFamily, z):
 
     z is complex coordinates (..., n) or a log-form pair (u, theta) of such
     arrays, e.g. (SampleResult.points, .angles).  The residual precondition
-    |f| < 1e-8 is enforced at every witness (NotOnZeroLocus).
+    |f| < 1e-8 is enforced at every witness (NotOnZeroLocus).  The sampler
+    computes the same margins from its final evaluation (SampleResult.margins);
+    this function serves arbitrary witnesses and is the tests' oracle for them.
     """
     if np.iscomplexobj(z) or np.ndim(z[0]) == 0:
         u, theta = _log_coords(z)

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amoeba import PatchworkFamily, amoeba_sample_curve, symplectic_margin
+from .amoeba import PatchworkFamily, amoeba_sample_curve
 from .coordring import (
     hilbert_function,
     interior_counts,
@@ -297,10 +297,11 @@ def _svg_overlay(path: str, window, segments, cloud, Q: Polytope | None) -> None
     if len(cloud):
         # cap the emitted circles by a fixed stride so huge clouds stay viewable
         stride = max(1, int(math.ceil(len(cloud) / 5000.0)))
-        circles = [
-            f'<circle cx="{px(float(p[0])):.2f}" cy="{py(float(p[1])):.2f}" r="1.5"/>'
-            for p in cloud[::stride]
-        ]
+        shown = cloud[::stride]
+        # px and py over whole columns: the same IEEE operations per element
+        xs = ((shown[:, 0] - x0) * sx).tolist()
+        ys = ((y1 - shown[:, 1]) * sy).tolist()
+        circles = [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5"/>' for x, y in zip(xs, ys)]
         parts.append('<g fill="#9a9a9a">' + "".join(circles) + "</g>")
     lines = [
         f'<line x1="{px(p[0]):.2f}" y1="{py(p[1]):.2f}" '
@@ -331,12 +332,12 @@ def cmd_amoeba(config: JobConfig) -> int:
     arg_count = max(4, config.grid // 3)
     res = amoeba_sample_curve(F, arg_count, ((x0 * L, x1 * L, y0 * L, y1 * L), config.grid))
 
-    lines = ["u1,u2,residual"]
-    for p, r in zip(res.points, res.residuals):
-        lines.append(f"{float(p[0])!r},{float(p[1])!r},{float(r)!r}")
+    # column by column: repr of each Python float, the bytes f"{x!r}" writes
+    columns = [map(repr, c) for c in res.points.T.tolist() + [res.residuals.tolist()]]
+    lines = ["u1,u2,residual", *map(",".join, zip(*columns))]
     _write_text(os.path.join(config.out, "cloud.csv"), "\n".join(lines) + "\n")
 
-    margins = symplectic_margin(F, (res.points, res.angles))
+    margins = res.margins
     bins = 32
     hist_lines = ["bin_low,bin_high,count"]
     if len(margins):

@@ -28,8 +28,10 @@ from tropmirror.amoeba import (
     NotOnZeroLocus,
     PatchworkFamily,
     _cmul,
+    _exp,
     _fiber_coefficients,
     _fiber_roots,
+    _libm,
     _log_coords,
     _newton_continuation,
     amoeba_sample_curve,
@@ -101,6 +103,53 @@ def oracle_segment_distance(P, segs):
             d = np.linalg.norm(P - (a + t[:, None] * ab), axis=1)
         best = np.minimum(best, d)
     return best
+
+
+def oracle_exp(v):
+    """math.exp with overflow caught, one element at a time."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+# ---------------------------------------------------------------------------
+# elementwise arithmetic with the rounding of one point
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_libm_is_per_element_math(shape):
+    rng = np.random.default_rng(1)
+    x = rng.normal(scale=3.0, size=shape)
+    y = rng.normal(size=shape)
+    first = x.reshape(-1)[:1].reshape((1,) * x.ndim)  # broadcasts against x
+    cases = [
+        (math.exp, (x,)),
+        (math.log, (np.abs(x),)),
+        (pow, (np.abs(x), 3)),  # a scalar second argument, as in cutoff
+        (pow, (np.abs(x), 0.5)),
+        (math.atan2, (y, x)),
+        (math.atan2, (x, first)),
+        (math.atan2, (1.5, x)),
+    ]
+    for fn, args in cases:
+        got = _libm(fn, *args)
+        columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+        want = np.array([fn(*v) for v in zip(*columns)], dtype=float).reshape(shape)
+        assert got.shape == shape and got.dtype == np.float64, (fn, args)
+        assert got.tobytes() == want.tobytes(), (fn, args)
+
+
+def test_exp_is_the_overflow_catching_wrapper():
+    xs = np.array([-np.inf, -745.2, 0.0, 709.0, 709.78, 709.79, 710.0, 1e308, np.inf, np.nan])
+    want = np.array([oracle_exp(v) for v in xs.tolist()])
+    assert np.isinf(want[5:9]).all() and np.isnan(want[9])
+    for x, w in ((xs, want), (xs.reshape(2, 5), want.reshape(2, 5)), (np.zeros(0), np.zeros(0))):
+        got = _exp(x)
+        assert got.shape == w.shape and got.tobytes() == w.tobytes()
+    for v, w in zip(xs, want):
+        got = _exp(v)
+        assert got.shape == () and got.tobytes() == np.float64(w).tobytes(), v
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +465,10 @@ def test_sampler_counts_every_dropped_root(s):
     assert set(res.dropped) == {"non_finite", "newton", "window", "residual"}
     roots = 2 * (2 * 16 * 40 - res.degenerate_fibers)
     assert roots == len(res.points) + sum(res.dropped.values())
-    # the stacked margins are the per-witness margins
+    # the sampler's margins are the stacked margins, bit for bit, and those
+    # are the per-witness margins
     margins = symplectic_margin(F, (res.points, res.angles))
+    assert res.margins.dtype == margins.dtype and res.margins.tobytes() == margins.tobytes()
     assert np.array_equal(margins, [symplectic_margin(F, w) for w in res.witnesses])
 
 

@@ -10,10 +10,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tropmirror import cli
+from tropmirror.amoeba import amoeba_sample_curve, symplectic_margin
 from tropmirror.cli import main
+from tropmirror.tropical import complex_segments
 
 P2 = {
     "rays": [[1, 0], [0, 1], [-1, -1]],
@@ -474,6 +477,96 @@ def test_amoeba_byte_identical_reruns(tmp_path):
         first = (outs[0] / fname).read_bytes()
         second = (outs[1] / fname).read_bytes()
         assert first == second, fname
+
+
+def oracle_cloud_csv(res):
+    """cloud.csv written one row at a time from numpy scalars."""
+    lines = ["u1,u2,residual"]
+    for p, r in zip(res.points, res.residuals):
+        lines.append(f"{float(p[0])!r},{float(p[1])!r},{float(r)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_svg_overlay(window, segments, cloud, Q):
+    """overlay.svg written one circle at a time, each through px and py."""
+    x0, x1, y0, y1 = window
+    W = H = 800.0
+    sx = W / (x1 - x0)
+    sy = H / (y1 - y0)
+
+    def px(x):
+        return (x - x0) * sx
+
+    def py(y):
+        return (y1 - y) * sy
+
+    matrix = [[sx, 0.0, -x0 * sx], [0.0, -sy, y1 * sy]]
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+        'viewBox="0 0 800 800">',
+        "<metadata>"
+        + json.dumps(
+            {"window": list(window), "viewport": [800, 800], "world_to_viewport": matrix},
+            sort_keys=True,
+        )
+        + "</metadata>",
+        '<rect width="800" height="800" fill="#ffffff"/>',
+    ]
+    if Q is not None and len(Q.vertices) >= 3:
+        verts = [(float(v[0]), float(v[1])) for v in Q.vertices]
+        cx0 = sum(v[0] for v in verts) / len(verts)
+        cy0 = sum(v[1] for v in verts) / len(verts)
+        verts.sort(key=lambda v: math.atan2(v[1] - cy0, v[0] - cx0))
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in verts)
+        parts.append(f'<polygon points="{pts}" fill="#c9d8ef" fill-opacity="0.55"/>')
+    if len(cloud):
+        stride = max(1, int(math.ceil(len(cloud) / 5000.0)))
+        circles = [
+            f'<circle cx="{px(float(p[0])):.2f}" cy="{py(float(p[1])):.2f}" r="1.5"/>'
+            for p in cloud[::stride]
+        ]
+        parts.append('<g fill="#9a9a9a">' + "".join(circles) + "</g>")
+    lines = [
+        f'<line x1="{px(p[0]):.2f}" y1="{py(p[1]):.2f}" '
+        f'x2="{px(q[0]):.2f}" y2="{py(q[1]):.2f}"/>'
+        for p, q in segments
+    ]
+    parts.append('<g stroke="#000000" stroke-width="2">' + "".join(lines) + "</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--t", repr(math.exp(8.0)), "--s", "0", "--grid", "10"],
+    ["--t", repr(math.exp(8.0)), "--s", "1", "--grid", "10"],
+    ["--t", repr(math.exp(8.0)), "--s", "0", "--grid", "80"],  # > 5000 points: strided SVG
+    ["--grid", "8"],  # the certified scale
+])
+def test_amoeba_files_match_per_row_oracles(tmp_path, monkeypatch, args):
+    # the column-wise writers give the bytes of the per-row ones, and the
+    # reported margins are those symplectic_margin computes at the cloud
+    sampled = []
+
+    def recorded(F, *grids):
+        sampled.append((F, amoeba_sample_curve(F, *grids)))
+        return sampled[-1][1]
+
+    monkeypatch.setattr(cli, "amoeba_sample_curve", recorded)
+    fan = write_fan(tmp_path, P2)
+    out = tmp_path / "out"
+    assert main(["amoeba", "--input", fan, "--out", str(out)] + args) == 0
+    [(F, res)] = sampled
+    assert len(res.points) > 0
+    assert (out / "cloud.csv").read_bytes() == oracle_cloud_csv(res).encode()
+    window = (-3.0, 3.0, -3.0, 3.0)
+    svg = oracle_svg_overlay(window, complex_segments(F.complex, window), res.points / F.L,
+                             F.complex.moment_polytope())
+    assert (out / "overlay.svg").read_bytes() == svg.encode()
+    margins = symplectic_margin(F, (res.points, res.angles))
+    report = json.loads((out / "hausdorff.json").read_text())
+    assert report["margin_min"] == float(margins.min())
+    assert report["margin_max"] == float(margins.max())
+    assert report["margins_positive"] == int(np.count_nonzero(margins > 0.0))
 
 
 def test_amoeba_hausdorff_decreases_with_scale(tmp_path):

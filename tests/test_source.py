@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import tropmirror
 
@@ -15,3 +16,12 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_distribution_metadata_matches_the_package():
+    # pip show tropmirror and importlib.metadata.version("tropmirror") read
+    # these two fields; read with a regex, as tomllib is not in Python 3.10
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    fields = dict(re.findall(r'^(name|version) = "([^"]*)"$', project, re.M))
+    assert fields == {"name": "tropmirror", "version": tropmirror.__version__}
