@@ -12,10 +12,14 @@ invariant metric |dz_j| = |z_j| becomes the Euclidean one.  (The sampler's
 starting roots are still solved in raw coordinates; see amoeba_sample_curve.)
 Evaluation, cutoffs, nearest points and margins take stacks of points of
 shape (..., n), a single point being the (n,) case, and compute every row
-exactly as they would compute it alone.  Evaluation has two halves: the
-terms and cutoff states, which depend on the point alone, and their
-combination at a deformation parameter s.  The sampler's continuation keeps
-the first half per root and recomputes it only for roots that moved.
+exactly as they would compute it alone.  Cutoff states cost one pass over a
+stack for all components at once: the family plans its scaled components for
+the nearest-point kernel when it is built, and only the per-component matrix
+products, whose rounding depends on the component's shape, stay separate.
+Evaluation has two halves: the terms and cutoff states, which depend on the
+point alone, and their combination at a deformation parameter s.  The
+sampler's continuation keeps the first half per root and recomputes it only
+for roots that moved.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .tropical import (
     HeightFunction,
     InvalidEps,
     TropicalComplex,
-    project_onto_halfspaces,
+    _Polyhedra,
     tropical_constants,
 )
 
@@ -220,10 +224,11 @@ class PatchworkFamily:
         self.exponents = np.array(height.points, dtype=float)
         self.exponents_int = tuple(height.points)
         self.nu_log = np.array([float(v) for v in height.values]) * self.L
-        self.component_planes = [
-            comp.unit_halfspaces(self.L) if comp.active else None
-            for comp in self.complex.components
-        ]
+        # the active components scaled by log t, planned once for the
+        # nearest-point kernel; self.active[c] is the term of polyhedron c
+        self.active = np.array([i for i, comp in enumerate(cx.components) if comp.active])
+        self.scaled_components = _Polyhedra([cx.components[i].unit_halfspaces(self.L)
+                                             for i in self.active])
 
     @classmethod
     def from_fan(cls, fan: Fan, phi, t: float, s: float, eps: float = 0.1):
@@ -239,31 +244,29 @@ class PatchworkFamily:
     def cutoff_states(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(phi values (..., m), gradients d phi/du (..., m, n)) at u (..., n).
 
-        The distance to each scaled component is exact: one kernel call per
-        component on the points neither inside it nor past the outer knot.
+        The distance to each scaled component is exact.  One pass over the
+        stack serves every component: the violations, computed once per
+        component, place each point inside it, past the outer knot or on its
+        ramp, and the ramp points of all components go through one call of
+        the nearest-point kernel, one distance and one smoothstep.
         """
         u = np.asarray(u, dtype=float)
         pts = u.reshape(-1, self.n)
         m = len(self.coefficients)
-        phis = np.zeros((len(pts), m))
+        phis = np.ones((len(pts), m))  # an inactive component cuts its term off
         grads = np.zeros((len(pts), m, self.n))
-        for i, planes in enumerate(self.component_planes):
-            if planes is None:
-                phis[:, i] = 1.0
-                continue
-            normals, bounds = planes
-            worst = np.max(np.matmul(normals, pts[..., None])[..., 0] - bounds, axis=1)
-            phis[worst >= self.profile.outer, i] = 1.0
-            ramp = np.flatnonzero((worst > 0.0) & (worst < self.profile.outer))
-            if not len(ramp):
-                continue
-            delta = pts[ramp] - project_onto_halfspaces(pts[ramp], normals, bounds)
+        viol = self.scaled_components.violations(pts)  # (points, active, planes)
+        worst = np.max(viol, axis=2)
+        phis[:, self.active] = worst >= self.profile.outer
+        row, comp = np.nonzero((worst > 0.0) & (worst < self.profile.outer))
+        if len(row):
+            delta = pts[row] - self.scaled_components.nearest(pts[row], comp, viol[row, comp])
             d = _norm(delta)
             away = ~(d < 1e-14)
-            ramp, delta, d = ramp[away], delta[away], d[away]
+            row, col, delta, d = row[away], self.active[comp[away]], delta[away], d[away]
             val, dval = cutoff(d, self.profile)
-            phis[ramp, i] = val
-            grads[ramp, i] = (dval / d)[:, None] * delta
+            phis[row, col] = val
+            grads[row, col] = (dval / d)[:, None] * delta
         lead = u.shape[:-1]
         return phis.reshape(lead + (m,)), grads.reshape(lead + (m, self.n))
 
@@ -436,6 +439,26 @@ def _rows(state, rows) -> tuple:
     return tuple(None if a is None else a[rows] for a in state)
 
 
+def _solve_finite(J, rhs):
+    """(solvable, w): the mask of the systems J w = rhs (stacks (N, 2, 2) and
+    (N, 2, 1)) that are finite and nonsingular, and their solutions (S, 2).
+
+    One solve serves the whole stack when every system is finite and none is
+    singular; a singular one makes np.linalg.solve raise, and only then are
+    the singular rows among the finite ones found, by slogdet: the singular
+    systems are exactly those np.linalg.solve rejects.  Each row is solved
+    as it would be alone.
+    """
+    solvable = np.isfinite(J).all(axis=(1, 2))
+    if solvable.all():
+        try:
+            return solvable, np.linalg.solve(J, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            pass
+    solvable[solvable] = np.linalg.slogdet(J[solvable])[0] != 0
+    return solvable, np.linalg.solve(J[solvable], rhs[solvable])[..., 0]
+
+
 def _newton_continuation(F: PatchworkFamily, free, u, theta, z):
     """Carry each root z (one per row) from s = 0 to F.s: 16 equal s-steps
     if F.s > 0, then a refine at F.s, each at most 12 masked Newton steps.
@@ -487,14 +510,13 @@ def _newton_continuation(F: PatchworkFamily, free, u, theta, z):
             ph = np.exp(1j * theta[live, f])
             a = dh[k, f] / ph
             b = _cmul(dbh[k, f], ph)
-            J = np.stack([np.stack([(a + b).real, -(a - b).imag], axis=-1),
-                          np.stack([(a + b).imag, (a - b).real], axis=-1)], axis=-2)
-            rhs = -np.stack([val.real, val.imag], axis=-1)
-            # the singular systems are exactly those np.linalg.solve rejects
-            solvable = np.isfinite(J).all(axis=(1, 2)) & (np.linalg.slogdet(J)[0] != 0)
+            apb, amb = a + b, a - b
+            J, rhs = np.empty((len(live), 2, 2)), np.empty((len(live), 2, 1))
+            J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1] = apb.real, -amb.imag, apb.imag, amb.real
+            rhs[:, 0, 0], rhs[:, 1, 0] = -val.real, -val.imag
+            solvable, w = _solve_finite(J, rhs)
             ok[live[~solvable]] = False
             live = live[solvable]
-            w = np.linalg.solve(J[solvable], rhs[solvable][..., None])[..., 0]
             dz = np.empty(len(live), dtype=complex)
             dz.real, dz.imag = w[:, 0], w[:, 1]
             with np.errstate(over="ignore", invalid="ignore"):  # caught by the next check

@@ -331,6 +331,9 @@ def cmd_amoeba(config: JobConfig) -> int:
     x0, x1, y0, y1 = config.window
     arg_count = max(4, config.grid // 3)
     res = amoeba_sample_curve(F, arg_count, ((x0 * L, x1 * L, y0 * L, y1 * L), config.grid))
+    # before any file is written: an empty window raises EmptyWindow here
+    rescaled = res.points / L if len(res.points) else res.points
+    dist = hausdorff_distance(rescaled, cx, config.window)
 
     # column by column: repr of each Python float, the bytes f"{x!r}" writes
     columns = [map(repr, c) for c in res.points.T.tolist() + [res.residuals.tolist()]]
@@ -349,8 +352,6 @@ def cmd_amoeba(config: JobConfig) -> int:
             hist_lines.append(f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}")
     _write_text(os.path.join(config.out, "margins.csv"), "\n".join(hist_lines) + "\n")
 
-    rescaled = res.points / L if len(res.points) else res.points
-    dist = hausdorff_distance(rescaled, cx, config.window)
     report = {
         "t": t,
         "log_t": L,

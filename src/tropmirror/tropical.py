@@ -10,7 +10,9 @@ scale, Hausdorff distances between point clouds and the complex) is
 numerical by nature and uses floats; no combinatorial decision depends on a
 float.  The nearest point of a component to a float point is exact up to
 roundoff, not iterated: project_onto_halfspaces enumerates candidate active
-sets and raises rather than return an unconverged point.
+sets and raises rather than return an unconverged point.  The sets are
+planned once per polyhedron (_Polyhedra), so a caller that projects many
+stacks onto the same polyhedra pays for them once.
 """
 
 from __future__ import annotations
@@ -423,6 +425,73 @@ class TropicalConstants:
     diameter: float
 
 
+class _Polyhedra:
+    """Polyhedra {y : normals_c @ y <= bounds_c} in R^n, c = 0 .. C-1, each
+    given by unit normals (k_c, n), with what the nearest-point kernel needs
+    of them planned once: per polyhedron and size r = 1 .. min(k_c, n), the
+    index sets (S, r) of r planes whose Gram matrix is nonsingular
+    (det > 1e-12, scale-free for unit rows), their Gram matrices (S, r, r)
+    and their rows transposed (S, n, r); and the normals of all polyhedra
+    padded with zero rows to a common count kmax (C, kmax, n)."""
+
+    def __init__(self, halfspaces):
+        self.planes = [(np.asarray(nrm, dtype=float), np.asarray(bnd, dtype=float))
+                       for nrm, bnd in halfspaces]
+        self.width = max(len(nrm) for nrm, _ in self.planes)
+        self.normals = np.zeros((len(self.planes), self.width, self.planes[0][0].shape[1]))
+        self.sets = []
+        for c, (nrm, _) in enumerate(self.planes):
+            self.normals[c, : len(nrm)] = nrm
+            sets = []
+            for r in range(1, min(nrm.shape) + 1):
+                idx = np.array(list(itertools.combinations(range(len(nrm)), r)))
+                rows = nrm[idx]  # (sets, r, n)
+                gram = rows @ rows.transpose(0, 2, 1)
+                live = np.linalg.det(gram) > 1e-12
+                sets.append((idx[live], gram[live], rows[live].transpose(0, 2, 1)))
+            self.sets.append(sets)
+
+    def violations(self, pts: np.ndarray) -> np.ndarray:
+        """normals_c @ p - bounds_c for every row p of pts (P, n) and every
+        polyhedron c: shape (P, C, kmax), padded with -inf."""
+        viol = np.full((len(pts), len(self.planes), self.width), -np.inf)
+        for c, (nrm, bnd) in enumerate(self.planes):
+            viol[:, c, : len(nrm)] = np.matmul(nrm, pts[..., None])[..., 0] - bnd
+        return viol
+
+    def nearest(self, pts: np.ndarray, which: np.ndarray, viol: np.ndarray) -> np.ndarray:
+        """The nearest point of polyhedron which[i] to row i of pts (P, n),
+        given that row's violations viol[i] (P, kmax), as violations() gives
+        them; a new (P, n) array.  Each row is computed exactly as it would
+        be alone; see project_onto_halfspaces."""
+        k = np.argmax(viol, axis=1)
+        far = np.flatnonzero(viol[np.arange(len(pts)), k] > 0.0)
+        out = pts.copy()
+        out[far] = pts[far] - viol[far, k[far]][:, None] * self.normals[which[far], k[far]]
+        for c, (nrm, bnd) in enumerate(self.planes):
+            rows = far[which[far] == c]
+            if not len(rows):
+                continue
+            # a foot that violates another plane sends its row on to the plane sets
+            rows = rows[np.max(np.matmul(nrm, out[rows][..., None])[..., 0] - bnd, axis=1) > 1e-9]
+            if len(rows):
+                out[rows] = self._nearest_in_hulls(c, pts[rows], viol[rows, : len(nrm)])
+        return out
+
+    def _nearest_in_hulls(self, c: int, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The nearest feasible projection of each row of p onto the affine
+        hull of one of polyhedron c's planned plane sets; v = its violations."""
+        nrm, bnd = self.planes[c]
+        cands = np.concatenate([  # (points, candidates, n)
+            p[:, None] - (rows_t @ np.linalg.solve(gram, v[:, idx][..., None]))[..., 0]
+            for idx, gram, rows_t in self.sets[c]], axis=1)
+        feasible = np.max(cands @ nrm.T - bnd, axis=2) <= 1e-9
+        if not feasible.any(axis=1).all():
+            raise ValueError("the halfspaces have an empty intersection")
+        dist = np.where(feasible, np.linalg.norm(cands - p[:, None], axis=2), np.inf)
+        return cands[np.arange(len(p)), np.argmin(dist, axis=1)]
+
+
 def project_onto_halfspaces(x0, normals, bounds):
     """Exact nearest point of {y : normals @ y <= bounds} to each row of x0
     (shape (..., n), any n), computed exactly as for that row alone.
@@ -431,37 +500,15 @@ def project_onto_halfspaces(x0, normals, bounds):
     feasible point is returned as is; else its foot on the most violated
     plane, if feasible (to 1e-9); else the nearest feasible projection onto
     the affine hull of a linearly independent set of at most n rows, every
-    such set being tried.  An empty intersection raises ValueError.
+    such set being tried.  An empty intersection raises ValueError.  This
+    plans one polyhedron for one call; PatchworkFamily plans all its
+    components once and calls the same kernel, _Polyhedra.nearest.
     """
     x = np.array(x0, dtype=float)
-    nrm = np.asarray(normals, dtype=float)
-    bnd = np.asarray(bounds, dtype=float)
+    poly = _Polyhedra([(normals, bounds)])
     pts = x.reshape(-1, x.shape[-1])
-    viol = np.matmul(nrm, pts[..., None])[..., 0] - bnd
-    k = np.argmax(viol, axis=1)
-    far = np.flatnonzero(viol[np.arange(len(pts)), k] > 0.0)
-    if not len(far):
-        return x
-    out = pts.copy()
-    out[far] = pts[far] - viol[far, k[far]][:, None] * nrm[k[far]]
-    far = far[np.max(np.matmul(nrm, out[far][..., None])[..., 0] - bnd, axis=1) > 1e-9]
-    if len(far):
-        p, v = pts[far], viol[far]
-        cands = []
-        for r in range(1, min(len(nrm), x.shape[-1]) + 1):
-            sets = np.array(list(itertools.combinations(range(len(nrm)), r)))
-            rows = nrm[sets]  # (sets, r, n)
-            gram = rows @ rows.transpose(0, 2, 1)
-            live = np.linalg.det(gram) > 1e-12  # scale-free for unit rows
-            lam = np.linalg.solve(gram[live], v[:, sets[live]][..., None])
-            cands.append(p[:, None] - (rows[live].transpose(0, 2, 1) @ lam)[..., 0])
-        cands = np.concatenate(cands, axis=1)  # (points, candidates, n)
-        feasible = np.max(cands @ nrm.T - bnd, axis=2) <= 1e-9
-        if not feasible.any(axis=1).all():
-            raise ValueError("the halfspaces have an empty intersection")
-        dist = np.where(feasible, np.linalg.norm(cands - p[:, None], axis=2), np.inf)
-        out[far] = cands[np.arange(len(far)), np.argmin(dist, axis=1)]
-    return out.reshape(x.shape)
+    viol = poly.violations(pts)[:, 0]
+    return poly.nearest(pts, np.zeros(len(pts), dtype=int), viol).reshape(x.shape)
 
 
 def tropical_constants(cx: TropicalComplex) -> TropicalConstants:

@@ -2,6 +2,7 @@
 amoeba sampling, margins, decay, lifts, and the boundary curve."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,9 +15,11 @@ from tropmirror.tropical import (
     HeightFunction,
     InvalidEps,
     TropicalComplex,
+    _Polyhedra,
     complex_segments,
     choose_scale,
     hausdorff_distance,
+    project_onto_halfspaces,
     tropical_constants,
 )
 from tropmirror.amoeba import (
@@ -34,6 +37,8 @@ from tropmirror.amoeba import (
     _libm,
     _log_coords,
     _newton_continuation,
+    _norm,
+    _solve_finite,
     amoeba_sample_curve,
     boundary_sphere_sample,
     cutoff,
@@ -48,6 +53,10 @@ from tropmirror.amoeba import (
 P2_FAN = Fan(rays=((1, 0), (0, 1), (-1, -1)),
              max_cones=((0, 1), (1, 2), (0, 2)))
 P2_PHI = (Fraction(1), Fraction(1), Fraction(1))
+F1_FAN = Fan(rays=((1, 0), (0, 1), (-1, 1), (0, -1)),
+             max_cones=((0, 1), (1, 2), (2, 3), (0, 3)))
+F1_PHI = (Fraction(1), Fraction(1), Fraction(2), Fraction(1))
+FANS = {"p2": (P2_FAN, P2_PHI), "f1": (F1_FAN, F1_PHI)}
 
 # tropical line: support {0, e1, e2} with zero heights, coefficients -1,1,1
 LINE_HEIGHT = HeightFunction(((0, 0), (1, 0), (0, 1)),
@@ -57,6 +66,12 @@ LINE_COEFFS = (-1.0, 1.0, 1.0)
 
 def p2_family(t, s, eps=0.1):
     return PatchworkFamily.from_fan(P2_FAN, P2_PHI, t=t, s=s, eps=eps)
+
+
+def certified_t(variety):
+    """The certified scale t* of a variety's family at eps = 0.1."""
+    h = HeightFunction.from_bundle(*FANS[variety])
+    return choose_scale(tropical_constants(TropicalComplex(h)), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +86,35 @@ def oracle_smoothstep(d, inner, outer):
         return 1.0
     x = (d - inner) / (outer - inner)
     return x * x * (3 - 2 * x)
+
+
+def oracle_cutoff_states(F, u):
+    """Cutoff states one component at a time, as PatchworkFamily computed
+    them before its components were planned together: one
+    project_onto_halfspaces call per active component on its ramp points,
+    each component with its own distance and smoothstep."""
+    pts = np.asarray(u, dtype=float).reshape(-1, F.n)
+    m = len(F.coefficients)
+    phis = np.zeros((len(pts), m))
+    grads = np.zeros((len(pts), m, F.n))
+    for i, comp in enumerate(F.complex.components):
+        if not comp.active:
+            phis[:, i] = 1.0
+            continue
+        normals, bounds = comp.unit_halfspaces(F.L)
+        worst = np.max(np.matmul(normals, pts[..., None])[..., 0] - bounds, axis=1)
+        phis[worst >= F.profile.outer, i] = 1.0
+        ramp = np.flatnonzero((worst > 0.0) & (worst < F.profile.outer))
+        if not len(ramp):
+            continue
+        delta = pts[ramp] - project_onto_halfspaces(pts[ramp], normals, bounds)
+        d = _norm(delta)
+        away = ~(d < 1e-14)
+        ramp, delta, d = ramp[away], delta[away], d[away]
+        val, dval = cutoff(d, F.profile)
+        phis[ramp, i] = val
+        grads[ramp, i] = (dval / d)[:, None] * delta
+    return phis, grads
 
 
 def oracle_fd_value(F, z, j, direction, h=1e-6):
@@ -350,6 +394,75 @@ def test_stacked_evaluation_matches_single_points():
             assert np.array_equal(flat, [r[k] for r in rows])
 
 
+def cutoff_stack(F, seed):
+    """Points around the complex of F, scaled by log t: the vertices of Pi
+    and rings around them inside the ramp band (vertex ramps), points
+    beside the edge midpoints (facet ramps), and a uniform cloud (inside a
+    component and past the outer knot)."""
+    L, rng = F.L, np.random.default_rng(seed)
+    verts = np.array([[float(c) for c in v] for v, _ in F.complex.vertices()]) * L
+    angles = 2.0 * np.pi * np.arange(24) / 24
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    parts = [verts, rng.uniform(-3 * L, 3 * L, (300, 2))]
+    for r in (0.06, 0.075, 0.09):
+        parts += [v + r * L * ring for v in verts]
+    for a, b in itertools.combinations(verts, 2):
+        mid = 0.5 * (a + b)
+        parts.append(mid + rng.uniform(-0.12 * L, 0.12 * L, (8, 2)))
+    return np.vstack(parts)
+
+
+@pytest.mark.parametrize("variety", ["p2", "f1"])
+@pytest.mark.parametrize("logt", [8.0, None])
+def test_cutoff_states_match_the_per_component_oracle(variety, logt, monkeypatch):
+    # one pass over the stack for all components gives, bit for bit, the
+    # phis and gradients of one projection, distance and smoothstep per
+    # component, on points inside a component, on a facet ramp (the foot on
+    # the most violated plane is the nearest point), on a vertex ramp (the
+    # plane-set fallback decides) and past the outer knot
+    t = math.exp(logt) if logt is not None else certified_t(variety)
+    F = PatchworkFamily.from_fan(*FANS[variety], t=t, s=1.0)
+    U = cutoff_stack(F, 3)
+    fallback = []
+    nearest_in_hulls = _Polyhedra._nearest_in_hulls
+
+    def recorded(self, c, p, v):
+        fallback.append(len(p))
+        return nearest_in_hulls(self, c, p, v)
+
+    monkeypatch.setattr(_Polyhedra, "_nearest_in_hulls", recorded)
+    phis, grads = F.cutoff_states(U)
+    monkeypatch.undo()
+    expect_phis, expect_grads = oracle_cutoff_states(F, U)
+    assert phis.tobytes() == expect_phis.tobytes()
+    assert grads.tobytes() == expect_grads.tobytes()
+    # every case occurs: inside (phi 0), past the outer knot (phi 1), and
+    # ramp rows, some of which the plane sets decide and some the foot
+    live = phis[:, F.active]
+    ramp = np.count_nonzero((live > 0.0) & (live < 1.0))
+    assert np.any(live == 0.0) and np.any(live == 1.0)
+    assert 0 < sum(fallback) < ramp
+    # a stack of rows is answered as the rows one at a time, and a
+    # reshaped stack as the flat one
+    one = [F.cutoff_states(u) for u in U[::37]]
+    assert np.array_equal(phis[::37], [p for p, _ in one])
+    assert np.array_equal(grads[::37], [g for _, g in one])
+    K = len(U) // 4 * 4
+    p4, g4 = F.cutoff_states(U[:K].reshape(4, -1, 2))
+    assert p4.tobytes() == phis[:K].tobytes() and g4.tobytes() == grads[:K].tobytes()
+
+
+@pytest.mark.parametrize("variety", ["p2", "f1"])
+def test_cutoff_states_of_an_empty_stack(variety):
+    F = PatchworkFamily.from_fan(*FANS[variety], t=math.exp(8.0), s=1.0)
+    phis, grads = F.cutoff_states(np.zeros((0, 2)))
+    m = len(F.coefficients)
+    assert phis.shape == (0, m) and grads.shape == (0, m, 2)
+    expect_phis, expect_grads = oracle_cutoff_states(F, np.zeros((0, 2)))
+    assert phis.tobytes() == expect_phis.tobytes()
+    assert grads.tobytes() == expect_grads.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # lopsidedness certificates
 # ---------------------------------------------------------------------------
@@ -525,17 +638,21 @@ def start_roots(F, arg_grid, n_r, half_width):
     return 1 - axis, u, theta, z
 
 
-def t_star_p2():
-    h = HeightFunction.from_bundle(P2_FAN, P2_PHI)
-    return choose_scale(tropical_constants(TropicalComplex(h)), 0.1)
-
-
-@pytest.mark.parametrize("logt, s", [(8.0, 0.0), (8.0, 0.5), (8.0, 1.0), (None, 0.0), (None, 1.0)])
-def test_continuation_matches_uncached_oracle(logt, s, monkeypatch):
+@pytest.mark.parametrize("variety, logt, s", [
+    pytest.param("p2", 8.0, 0.0, id="8.0-0.0"),
+    pytest.param("p2", 8.0, 0.5, id="8.0-0.5"),
+    pytest.param("p2", 8.0, 1.0, id="8.0-1.0"),
+    pytest.param("p2", None, 0.0, id="None-0.0"),
+    pytest.param("p2", None, 1.0, id="None-1.0"),
+    pytest.param("f1", 8.0, 1.0, id="f1-8.0-1.0"),
+    pytest.param("f1", None, 1.0, id="f1-None-1.0"),
+])
+def test_continuation_matches_uncached_oracle(variety, logt, s, monkeypatch):
     # evaluating only the rows that moved, and combining cached terms at each
     # stage's s, carries every root bit for bit as re-evaluating every row
-    t = math.exp(logt) if logt is not None else t_star_p2()
-    F = p2_family(t=t, s=s)
+    # (None is the certified scale t*)
+    t = math.exp(logt) if logt is not None else certified_t(variety)
+    F = PatchworkFamily.from_fan(*FANS[variety], t=t, s=s)
     free, u, theta, z = start_roots(F, 8, 24, 3.0 * F.L)
     u0, theta0, z0 = u.copy(), theta.copy(), z.copy()
     ok0 = oracle_uncached_continuation(F, free, u0, theta0, z0)
@@ -563,6 +680,30 @@ def test_continuation_matches_uncached_oracle(logt, s, monkeypatch):
     got = (mstar[rows],) + F._combine(T[rows], *cut, F.s)
     for new, old in zip(got, F.eval_scaled(u[rows], theta[rows])):
         assert new.tobytes() == old.tobytes()
+
+
+def test_solve_finite_drops_exactly_the_rows_the_old_gate_dropped():
+    # one solve for a clean stack; a singular or non-finite system is found
+    # as the finiteness and slogdet gate finds it, and every other row is
+    # solved bit for bit as np.linalg.solve solves it alone
+    rng = np.random.default_rng(5)
+    J, rhs = rng.normal(size=(40, 2, 2)), rng.normal(size=(40, 2, 1))
+    mask, w = _solve_finite(J, rhs)
+    assert mask.all() and w.shape == (40, 2)
+    J[3] = [[1.0, 2.0], [2.0, 4.0]]
+    J[7, 0, 1] = np.inf
+    J[11, 1, 0] = np.nan
+    J[19] = 0.0
+    for stack in (J, J[:8], J[[3]], J[[7]]):
+        b = rhs[: len(stack)]
+        with np.errstate(invalid="ignore"):  # slogdet of a non-finite matrix
+            gate = np.isfinite(stack).all(axis=(1, 2)) & (np.linalg.slogdet(stack)[0] != 0)
+        mask, w = _solve_finite(stack, b)
+        assert np.array_equal(mask, gate)
+        expect = [np.linalg.solve(a, y)[:, 0] for a, y in zip(stack[gate], b[gate])]
+        assert w.tobytes() == np.array(expect).reshape(-1, 2).tobytes()
+    mask, w = _solve_finite(J[:0], rhs[:0])
+    assert mask.shape == (0,) and w.shape == (0, 2)
 
 
 def test_fiber_roots_match_np_roots():

@@ -569,6 +569,18 @@ def test_amoeba_files_match_per_row_oracles(tmp_path, monkeypatch, args):
     assert report["margins_positive"] == int(np.count_nonzero(margins > 0.0))
 
 
+def test_amoeba_empty_window_exits_1_and_writes_no_file(tmp_path, capsys):
+    # the cloud never reaches this window: the run is refused before any
+    # output is written, so no partial cloud.csv or margins.csv is left
+    fan = write_fan(tmp_path, P2)
+    out = tmp_path / "out"
+    args = ["amoeba", "--input", fan, "--out", str(out), "--t", "2980.9",
+            "--window=40,41,-41,-40"]
+    assert main(args) == 1
+    assert "error: no cloud points inside the window" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_amoeba_hausdorff_decreases_with_scale(tmp_path):
     # s = 0: the raw curve's amoeba is fat at small t, so the shrinking
     # width dominates the fixed grid-resolution floor of the report

@@ -31,6 +31,7 @@ from tropmirror.tropical import (
     InvalidEps,
     NotTriangulation,
     TropicalComplex,
+    _Polyhedra,
     _cell_proper_faces,
     certified_log_scale,
     check_bundle_subdivision,
@@ -398,6 +399,81 @@ def test_nearest_point_of_an_empty_intersection_raises():
     # u1 <= -1 and u1 >= 1
     with pytest.raises(ValueError, match="empty intersection"):
         project_onto_halfspaces((0.0, 0.0), [[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
+
+
+def oracle_project_onto_halfspaces(x0, normals, bounds):
+    """The nearest-point kernel as it stood before its plane sets were
+    planned once per polyhedron: every call enumerates the sets itself."""
+    x = np.array(x0, dtype=float)
+    nrm = np.asarray(normals, dtype=float)
+    bnd = np.asarray(bounds, dtype=float)
+    pts = x.reshape(-1, x.shape[-1])
+    viol = np.matmul(nrm, pts[..., None])[..., 0] - bnd
+    k = np.argmax(viol, axis=1)
+    far = np.flatnonzero(viol[np.arange(len(pts)), k] > 0.0)
+    if not len(far):
+        return x
+    out = pts.copy()
+    out[far] = pts[far] - viol[far, k[far]][:, None] * nrm[k[far]]
+    far = far[np.max(np.matmul(nrm, out[far][..., None])[..., 0] - bnd, axis=1) > 1e-9]
+    if len(far):
+        p, v = pts[far], viol[far]
+        cands = []
+        for r in range(1, min(len(nrm), x.shape[-1]) + 1):
+            sets = np.array(list(itertools.combinations(range(len(nrm)), r)))
+            rows = nrm[sets]
+            gram = rows @ rows.transpose(0, 2, 1)
+            live = np.linalg.det(gram) > 1e-12
+            lam = np.linalg.solve(gram[live], v[:, sets[live]][..., None])
+            cands.append(p[:, None] - (rows[live].transpose(0, 2, 1) @ lam)[..., 0])
+        cands = np.concatenate(cands, axis=1)
+        feasible = np.max(cands @ nrm.T - bnd, axis=2) <= 1e-9
+        if not feasible.any(axis=1).all():
+            raise ValueError("the halfspaces have an empty intersection")
+        dist = np.where(feasible, np.linalg.norm(cands - p[:, None], axis=2), np.inf)
+        out[far] = cands[np.arange(len(far)), np.argmin(dist, axis=1)]
+    return out.reshape(x.shape)
+
+
+def answer(fn, *args):
+    """fn's result as bytes, or the message of the ValueError it raised."""
+    try:
+        return fn(*args).tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+def test_planned_kernel_matches_the_per_call_oracle():
+    # random polygons with unit normals (bounded, unbounded and empty ones):
+    # the kernel with plans built once answers every stack as the public
+    # function and the per-call oracle do, bit for bit, and raises the same
+    # ValueError on an empty intersection
+    rng = np.random.default_rng(11)
+    polygons, empty = [], 0
+    for _ in range(150):
+        k = int(rng.integers(1, 6))
+        angles = rng.uniform(0.0, 2.0 * np.pi, k)
+        normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        bounds = rng.uniform(-2.0, 2.0, k)
+        x = rng.uniform(-6.0, 6.0, (40, 2))
+        expect = answer(oracle_project_onto_halfspaces, x, normals, bounds)
+        assert answer(project_onto_halfspaces, x, normals, bounds) == expect
+        poly = _Polyhedra([(normals, bounds)])
+        kernel = answer(poly.nearest, x, np.zeros(len(x), dtype=int), poly.violations(x)[:, 0])
+        assert kernel == expect
+        if isinstance(expect, str):
+            assert expect == "the halfspaces have an empty intersection"
+            empty += 1
+        else:
+            polygons.append((normals, bounds))
+    assert empty > 0 and len(polygons) > 50
+    # one plan for many polygons, each row answered by its own polygon
+    poly = _Polyhedra(polygons)
+    x = rng.uniform(-6.0, 6.0, (600, 2))
+    which = rng.integers(0, len(polygons), len(x))
+    got = poly.nearest(x, which, poly.violations(x)[np.arange(len(x)), which])
+    for row, y, c in zip(x, got, which):
+        assert y.tobytes() == oracle_project_onto_halfspaces(row, *polygons[c]).tobytes()
 
 
 @st.composite
