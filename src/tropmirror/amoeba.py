@@ -308,12 +308,10 @@ class PatchworkFamily:
     def _combine(self, T, phis, grads, s: float):
         """(value_hat, del_hat, delbar_hat) of eval_scaled at s from the
         output of _terms; at s = 0 the cutoff states are not read."""
-        if s == 0.0:
-            B = np.ones(T.shape)
-            grads = np.zeros(T.shape + (self.n,))
-        else:
-            B = 1.0 - s * phis
-        TB = T * B
+        if s == 0.0:  # no cutoff: the holomorphic value and gradient
+            del_hat = (T[..., None, :] * self.exponents.T).sum(axis=-1)
+            return T.sum(axis=-1), del_hat, np.zeros(del_hat.shape, dtype=complex)
+        TB = T * (1.0 - s * phis)
         # one dot product per point and coordinate: T @ (column j of grads)
         cut = 0.5 * s * np.matmul(T[..., None, None, :],
                                   np.swapaxes(grads, -1, -2)[..., None])[..., 0, 0]
@@ -378,18 +376,27 @@ def lopsided_certificate(F: PatchworkFamily, u) -> np.ndarray:
 # fiber solving (n = 2)
 # ---------------------------------------------------------------------------
 
-def _fiber_coefficients(F: PatchworkFamily, axis, u_fix, th_fix) -> np.ndarray:
+def _fiber_coefficients(F: PatchworkFamily, radii, thetas) -> np.ndarray:
     """Coefficients (low to high in the free variable, zero-padded on top) of
-    the cleared s = 0 fiber polynomial over z_axis = exp(u_fix + i th_fix),
-    one row per fiber, with its largest term magnitude factored out."""
-    fixed = F.exponents[:, axis].T  # (fibers, terms)
-    free = np.array(F.exponents_int)[:, 1 - axis].T
+    the cleared s = 0 fiber polynomials over z_axis = exp(u + i theta), with
+    each fiber's largest term magnitude factored out.
+
+    radii (2, n_r) holds the fixed log-radii u of each axis and thetas (n_th,)
+    the fixed arguments; the rows come in grid order (axis, u, theta).  The
+    magnitudes depend on (axis, u) alone and the phases on (axis, theta), so
+    each is computed once per row of its grid and spread over the fibers; every
+    fiber's terms get the same scalar operations as when computed alone."""
+    fixed = F.exponents.T[:, None, :]  # (axis, 1, terms)
+    free = np.array(F.exponents_int).T[::-1]  # free exponents of each axis' fibers
     free = free - free.min(axis=1, keepdims=True)
-    logmag = fixed * u_fix[:, None] - F.nu_log
-    mag = _libm(math.exp, logmag - logmag.max(axis=1, keepdims=True))
-    terms = _cmul(F.coefficients * mag, np.exp(1j * fixed * th_fix[:, None]))
-    coeffs = np.zeros((len(free), free.max(initial=0) + 1), dtype=complex)
-    np.add.at(coeffs, (np.arange(len(free))[:, None], free), terms)
+    logmag = fixed * radii[..., None] - F.nu_log  # (axis, radius, terms)
+    mag = _libm(math.exp, logmag - logmag.max(axis=2, keepdims=True))
+    phase = np.exp(1j * fixed * thetas[:, None])  # (axis, theta, terms)
+    terms = _cmul((F.coefficients * mag)[:, :, None], phase[:, None])
+    terms = terms.reshape(-1, terms.shape[-1])  # one row per fiber
+    free = np.repeat(free, len(terms) // 2, axis=0)
+    coeffs = np.zeros((len(terms), free.max(initial=0) + 1), dtype=complex)
+    np.add.at(coeffs, (np.arange(len(terms))[:, None], free), terms)
     return coeffs
 
 
@@ -553,9 +560,10 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     the union of the two sweeps covers every wall at grid resolution.
 
     Three array passes over all fibers: one scatter builds the cleared s = 0
-    polynomials, roots are solved per effective degree, and one masked Newton
+    polynomials from term magnitudes per grid radius and phases per grid
+    argument, roots are solved per effective degree, and one masked Newton
     continuation carries them to s = F.s; points come out in grid order
-    (axis, u_fix, theta, root).  The roots are solved in raw coordinates of
+    (axis, u, theta, root).  The roots are solved in raw coordinates of
     the free variable, so at large log t fibers underflow (degenerate_fibers)
     and roots are lost.  Each lost root is counted in `dropped` by its first
     reason: `non_finite` (solver gave 0 or non-finite), `newton`
@@ -573,15 +581,13 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     windows = np.array(radius_grid[0], dtype=float).reshape(2, 2)
     thetas = 2.0 * math.pi * np.arange(int(arg_grid)) / max(int(arg_grid), 1)
     n_r, n_th = int(radius_grid[1]), len(thetas)
-    axis = np.repeat([0, 1], n_r * n_th)
-    u_fix = np.concatenate([np.repeat(np.linspace(*w, n_r), n_th) for w in windows])
-    th_fix = np.tile(thetas, 2 * n_r)
-    fiber, z, degenerate = _fiber_roots(_fiber_coefficients(F, axis, u_fix, th_fix))
+    radii = np.array([np.linspace(*w, n_r) for w in windows])
+    fiber, z, degenerate = _fiber_roots(_fiber_coefficients(F, radii, thetas))
     found = np.isfinite(z) & (z != 0)
     fiber, z = fiber[found], z[found]
-    k, axis = np.arange(len(z)), axis[fiber]
+    k, axis = np.arange(len(z)), fiber // (n_r * n_th)  # fibers in (axis, u, theta) order
     u, theta = np.zeros((len(z), 2)), np.zeros((len(z), 2))
-    u[k, axis], theta[k, axis] = u_fix[fiber], th_fix[fiber]
+    u[k, axis], theta[k, axis] = radii.ravel()[fiber // n_th], thetas[fiber % n_th]
     ok, state = _newton_continuation(F, 1 - axis, u, theta, z)
     uf = u[k, 1 - axis]
     inside = ok & (windows[1 - axis, 0] <= uf) & (uf <= windows[1 - axis, 1])

@@ -313,6 +313,29 @@ def _svg_overlay(path: str, window, segments, cloud, Q: Polytope | None) -> None
     _write_text(path, "\n".join(parts) + "\n")
 
 
+def _column_reprs(col: np.ndarray) -> list:
+    """repr of each float of col, the bytes f"{x!r}" writes, with repr called
+    once per distinct bit pattern: 0.0 and -0.0 stay apart."""
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    strings = np.array([repr(x) for x in keys.view(float).tolist()], dtype=object)
+    return strings[inverse].tolist()
+
+
+def _histogram_range(lo: float, hi: float, bins: int) -> tuple:
+    """The range np.histogram splits into `bins` bins for data in [lo, hi].
+
+    A single value gets [lo, lo + 1].  A range that still cannot hold
+    bins + 1 strictly increasing edges, because an ulp of lo is wider than a
+    bin (|lo| beyond about 2^47), gets [lo, lo + max(1, |lo|)].
+    """
+    if hi == lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, bins + 1)
+    if not (edges[:-1] < edges[1:]).all():
+        hi = lo + max(1.0, abs(lo))
+    return lo, hi
+
+
 def cmd_amoeba(config: JobConfig) -> int:
     fan, phi = load_fan_json(config.input)
     if fan.n != 2:
@@ -331,25 +354,22 @@ def cmd_amoeba(config: JobConfig) -> int:
     x0, x1, y0, y1 = config.window
     arg_count = max(4, config.grid // 3)
     res = amoeba_sample_curve(F, arg_count, ((x0 * L, x1 * L, y0 * L, y1 * L), config.grid))
-    # before any file is written: an empty window raises EmptyWindow here
+    # before any file is written: an empty window raises EmptyWindow here,
+    # and the margin histogram is made
     rescaled = res.points / L if len(res.points) else res.points
     dist = hausdorff_distance(rescaled, cx, config.window)
-
-    # column by column: repr of each Python float, the bytes f"{x!r}" writes
-    columns = [map(repr, c) for c in res.points.T.tolist() + [res.residuals.tolist()]]
-    lines = ["u1,u2,residual", *map(",".join, zip(*columns))]
-    _write_text(os.path.join(config.out, "cloud.csv"), "\n".join(lines) + "\n")
-
     margins = res.margins
-    bins = 32
     hist_lines = ["bin_low,bin_high,count"]
     if len(margins):
-        lo, hi = float(margins.min()), float(margins.max())
-        if hi == lo:
-            hi = lo + 1.0
-        counts, edges = np.histogram(margins, bins=bins, range=(lo, hi))
+        bins = 32
+        counts, edges = np.histogram(margins, bins=bins, range=_histogram_range(
+            float(margins.min()), float(margins.max()), bins))
         for k in range(bins):
             hist_lines.append(f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}")
+
+    columns = [_column_reprs(c) for c in (res.points[:, 0], res.points[:, 1], res.residuals)]
+    lines = ["u1,u2,residual", *map(",".join, zip(*columns))]
+    _write_text(os.path.join(config.out, "cloud.csv"), "\n".join(lines) + "\n")
     _write_text(os.path.join(config.out, "margins.csv"), "\n".join(hist_lines) + "\n")
 
     report = {

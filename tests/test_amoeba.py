@@ -56,7 +56,10 @@ P2_PHI = (Fraction(1), Fraction(1), Fraction(1))
 F1_FAN = Fan(rays=((1, 0), (0, 1), (-1, 1), (0, -1)),
              max_cones=((0, 1), (1, 2), (2, 3), (0, 3)))
 F1_PHI = (Fraction(1), Fraction(1), Fraction(2), Fraction(1))
-FANS = {"p2": (P2_FAN, P2_PHI), "f1": (F1_FAN, F1_PHI)}
+P1XP1_FAN = Fan(rays=((1, 0), (0, 1), (-1, 0), (0, -1)),
+                max_cones=((0, 1), (1, 2), (2, 3), (0, 3)))
+P1XP1_PHI = (Fraction(1),) * 4
+FANS = {"p2": (P2_FAN, P2_PHI), "f1": (F1_FAN, F1_PHI), "p1xp1": (P1XP1_FAN, P1XP1_PHI)}
 
 # tropical line: support {0, e1, e2} with zero heights, coefficients -1,1,1
 LINE_HEIGHT = HeightFunction(((0, 0), (1, 0), (0, 1)),
@@ -147,6 +150,40 @@ def oracle_segment_distance(P, segs):
             d = np.linalg.norm(P - (a + t[:, None] * ab), axis=1)
         best = np.minimum(best, d)
     return best
+
+
+def oracle_flat_fiber_coefficients(F, axis, u_fix, th_fix):
+    """The s = 0 fiber polynomials from flat per-fiber arrays: every fiber
+    computes its own magnitudes and phases from its (axis, u, theta)."""
+    fixed = F.exponents[:, axis].T  # (fibers, terms)
+    free = np.array(F.exponents_int)[:, 1 - axis].T
+    free = free - free.min(axis=1, keepdims=True)
+    logmag = fixed * u_fix[:, None] - F.nu_log
+    mag = _libm(math.exp, logmag - logmag.max(axis=1, keepdims=True))
+    terms = _cmul(F.coefficients * mag, np.exp(1j * fixed * th_fix[:, None]))
+    coeffs = np.zeros((len(free), free.max(initial=0) + 1), dtype=complex)
+    np.add.at(coeffs, (np.arange(len(free))[:, None], free), terms)
+    return coeffs
+
+
+def oracle_flat_grid(windows, n_r, n_th):
+    """(axis, u_fix, th_fix) of every fiber of the sampler's grid over the
+    windows (2, 2), in (axis, u, theta) order."""
+    thetas = 2.0 * math.pi * np.arange(n_th) / n_th
+    axis = np.repeat([0, 1], n_r * n_th)
+    u_fix = np.concatenate([np.repeat(np.linspace(*w, n_r), n_th) for w in windows])
+    return axis, u_fix, np.tile(thetas, 2 * n_r)
+
+
+def oracle_combine_s0(F, T):
+    """_combine at s = 0 through the general formula: unit cutoff factors,
+    a zero gradient stack and the cutoff product, scaled by s = 0."""
+    s, B, grads = 0.0, np.ones(T.shape), np.zeros(T.shape + (F.n,))
+    TB = T * B
+    cut = 0.5 * s * np.matmul(T[..., None, None, :],
+                              np.swapaxes(grads, -1, -2)[..., None])[..., 0, 0]
+    del_hat = (TB[..., None, :] * F.exponents.T).sum(axis=-1) - cut
+    return TB.sum(axis=-1), del_hat, -cut
 
 
 def oracle_exp(v):
@@ -626,16 +663,58 @@ def start_roots(F, arg_grid, n_r, half_width):
     """(free, u, theta, z) of the s = 0 roots of both sweeps over the window
     [-half_width, half_width]^2, set up as amoeba_sample_curve sets them up."""
     thetas = 2.0 * math.pi * np.arange(arg_grid) / arg_grid
-    axis = np.repeat([0, 1], n_r * arg_grid)
-    u_fix = np.tile(np.repeat(np.linspace(-half_width, half_width, n_r), arg_grid), 2)
-    th_fix = np.tile(thetas, 2 * n_r)
-    fiber, z, _ = _fiber_roots(_fiber_coefficients(F, axis, u_fix, th_fix))
+    radii = np.tile(np.linspace(-half_width, half_width, n_r), (2, 1))
+    fiber, z, _ = _fiber_roots(_fiber_coefficients(F, radii, thetas))
     found = np.isfinite(z) & (z != 0)
     fiber, z = fiber[found], z[found]
-    k, axis = np.arange(len(z)), axis[fiber]
+    k, axis = np.arange(len(z)), fiber // (n_r * arg_grid)
     u, theta = np.zeros((len(z), 2)), np.zeros((len(z), 2))
-    u[k, axis], theta[k, axis] = u_fix[fiber], th_fix[fiber]
+    u[k, axis], theta[k, axis] = radii.ravel()[fiber // arg_grid], thetas[fiber % arg_grid]
     return 1 - axis, u, theta, z
+
+
+@pytest.mark.parametrize("variety", ["p2", "f1", "p1xp1"])
+@pytest.mark.parametrize("logt", [8.0, None])
+@pytest.mark.parametrize("n_r, n_th", [(9, 4), (12, 4), (7, 5), (10, 8), (3, 0)])
+def test_grid_fiber_coefficients_match_the_flat_oracle(variety, logt, n_r, n_th):
+    # magnitudes once per (axis, radius) and phases once per (axis, theta),
+    # spread over the grid, give every fiber's coefficients bit for bit as
+    # computing them fiber by fiber does; each axis has its own window
+    t = math.exp(logt) if logt is not None else certified_t(variety)
+    F = PatchworkFamily.from_fan(*FANS[variety], t=t, s=0.0)
+    windows = np.array([[-3.0, 2.0], [-1.5, 3.0]]) * F.L
+    radii = np.array([np.linspace(*w, n_r) for w in windows])
+    thetas = 2.0 * math.pi * np.arange(n_th) / n_th
+    got = _fiber_coefficients(F, radii, thetas)
+    expect = oracle_flat_fiber_coefficients(F, *oracle_flat_grid(windows, n_r, n_th))
+    assert got.shape == expect.shape == (2 * n_r * n_th, expect.shape[1])
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("variety", ["p2", "f1"])
+@pytest.mark.parametrize("logt", [8.0, None])
+def test_combine_at_s_zero_matches_the_general_formula(variety, logt):
+    # the direct s = 0 combine gives value_hat and del_hat bit for bit as the
+    # general formula with unit cutoffs and a zero cutoff term does, and a
+    # delbar_hat of zeros (the formula's zeros may carry a minus sign)
+    t = math.exp(logt) if logt is not None else certified_t(variety)
+    F = PatchworkFamily.from_fan(*FANS[variety], t=t, s=0.0)
+    m, rng = len(F.coefficients), np.random.default_rng(21)
+    free, u, theta, z = start_roots(F, 8, 24, 3.0 * F.L)
+    k = np.arange(len(z))
+    u[k, free], theta[k, free] = _log_coords(z)
+    U = rng.uniform(-3.0 * F.L, 3.0 * F.L, (200, 2))  # far out, some terms underflow
+    stacks = [F._terms(u, theta, False)[1], F._terms(U, rng.uniform(-4, 4, U.shape), False)[1],
+              rng.normal(size=(3, 40, m)) + 1j * rng.normal(size=(3, 40, m)),
+              np.zeros((0, m), dtype=complex)]
+    assert np.any(stacks[1] == 0.0) == (logt is None)
+    for T in stacks:
+        val, dh, dbh = F._combine(T, None, None, 0.0)
+        oval, odh, odbh = oracle_combine_s0(F, T)
+        assert val.tobytes() == oval.tobytes()
+        assert dh.tobytes() == odh.tobytes()
+        assert dbh.shape == odbh.shape and dbh.dtype == odbh.dtype
+        assert np.all(dbh == 0.0) and np.all(odbh == 0.0)
 
 
 @pytest.mark.parametrize("variety, logt, s", [

@@ -541,6 +541,7 @@ def oracle_svg_overlay(window, segments, cloud, Q):
     ["--t", repr(math.exp(8.0)), "--s", "1", "--grid", "10"],
     ["--t", repr(math.exp(8.0)), "--s", "0", "--grid", "80"],  # > 5000 points: strided SVG
     ["--grid", "8"],  # the certified scale
+    ["--s", "0", "--grid", "9"],  # s = 0 at the certified scale, odd grid
 ])
 def test_amoeba_files_match_per_row_oracles(tmp_path, monkeypatch, args):
     # the column-wise writers give the bytes of the per-row ones, and the
@@ -567,6 +568,65 @@ def test_amoeba_files_match_per_row_oracles(tmp_path, monkeypatch, args):
     assert report["margin_min"] == float(margins.min())
     assert report["margin_max"] == float(margins.max())
     assert report["margins_positive"] == int(np.count_nonzero(margins > 0.0))
+
+
+def test_column_reprs_match_repr():
+    # one repr per distinct bit pattern, gathered back, is repr of every
+    # float: signed zeros, a subnormal, either side of repr's switch to
+    # exponent form (1e16, 1e-5), and long runs of repeats
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e16, 9999999999999998.0, 1e-4, 1e-5,
+               0.1, 1.0, -1.0, 2.0 ** 50, 1.7976931348623157e308]
+    rng = np.random.default_rng(8)
+    col = np.array(special * 3 + [0.25] * 500 + [-0.0] * 200
+                   + rng.choice(special, 400).tolist() + rng.normal(size=300).tolist())
+    rng.shuffle(col)
+    assert cli._column_reprs(col) == list(map(repr, col.tolist()))
+    cloud = np.stack([col, col[::-1]], axis=1)  # the writer's strided columns
+    for j in range(2):
+        assert cli._column_reprs(cloud[:, j]) == list(map(repr, cloud[:, j].tolist()))
+    assert cli._column_reprs(np.zeros(0)) == []
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.5, 0.5), (-3.0, -3.0), (1e6, 1e6), (2.0 ** 46, 2.0 ** 46),  # one value: [lo, lo + 1]
+    (0.0, 1e-300), (1.0, 2.0), (-7.5, 1e98), (2.0 ** 50, 2.0 ** 51),
+])
+def test_histogram_range_keeps_every_range_numpy_accepts(lo, hi):
+    bins = 32
+    old = (lo, lo + 1.0 if hi == lo else hi)  # the range before the widening
+    assert cli._histogram_range(lo, hi, bins) == old
+    counts, _ = np.histogram(np.array([lo, hi]), bins=bins, range=old)
+    assert counts.sum() == 2
+
+
+@pytest.mark.parametrize("value", [2.0 ** 50, 1.1 * 2.0 ** 50, -(2.0 ** 50), 2.53e98])
+def test_histogram_range_widens_a_range_too_narrow_for_the_bins(value):
+    # equal margins past 2^47: lo + 1 is less than 32 ulps of lo, so numpy
+    # cannot make 32 bins; the range widens by max(1, |lo|)
+    bins, margins = 32, np.full(5, value)
+    with pytest.raises(ValueError, match="Too many bins"):
+        np.histogram(margins, bins=bins, range=(value, value + 1.0))
+    lo, hi = cli._histogram_range(value, value, bins)
+    assert (lo, hi) == (value, value + abs(value))
+    counts, edges = np.histogram(margins, bins=bins, range=(lo, hi))
+    assert counts.sum() == 5 and np.all(np.diff(edges) > 0)
+    narrow = np.nextafter(value, math.inf)  # two margins one ulp apart
+    assert cli._histogram_range(value, narrow, bins) == (value, value + abs(value))
+
+
+def test_amoeba_single_huge_margin_gets_32_bins(tmp_path):
+    # at the certified scale this window keeps one point, whose margin is
+    # about 2.5e98: the histogram widens its range instead of failing
+    fan = write_fan(tmp_path, P2)
+    out = tmp_path / "out"
+    args = ["amoeba", "--input", fan, "--out", str(out), "--grid", "2",
+            "--window=1.6,1.9,1.45,2.05"]
+    assert main(args) == 0
+    report = json.loads((out / "hausdorff.json").read_text())
+    assert report["points"] == 1 and report["margin_min"] > 2.0 ** 47
+    rows = (out / "margins.csv").read_text().splitlines()[1:]
+    assert len(rows) == 32
+    assert sum(int(r.split(",")[2]) for r in rows) == 1
 
 
 def test_amoeba_empty_window_exits_1_and_writes_no_file(tmp_path, capsys):
