@@ -482,16 +482,19 @@ def _newton_continuation(F: PatchworkFamily, free, u, theta, z):
     depend on s); every live row is then combined at the stage's s
     (F._combine), so a row that passed one stage starts the next without
     being recomputed.  A stage ends when no row is live.  Returns the mask of
-    rows that made it and the per-row _terms state (mstar, T, phis, grads)
-    at the final u, theta, which F._combine turns into values at F.s.
+    rows that made it, mstar at the final u, theta and the last combine at
+    F.s of each row that made it, (value_hat, del_hat, delbar_hat): a row
+    passes a stage only on a combine of its final state, so this is
+    eval_scaled there.
     """
     N, m, cutoffs = len(z), len(F.coefficients), F.s > 0.0
     ok, moved = np.ones(N, dtype=bool), np.ones(N, dtype=bool)
     state = (np.zeros(N), np.zeros((N, m), dtype=complex),
              np.zeros((N, m)) if cutoffs else None,
              np.zeros((N, m, F.n)) if cutoffs else None)
+    passed = []  # (rows, value_hat, del_hat, delbar_hat) passing the final stage
     stages = [float(s) for s in np.linspace(0.0, F.s, 17)[1:]] if cutoffs else []
-    for s in stages + [F.s]:
+    for stage, s in enumerate(stages + [F.s]):
         live = np.flatnonzero(ok)
         for it in range(13):
             bad = ~np.isfinite(z[live]) | (z[live] == 0)
@@ -508,10 +511,12 @@ def _newton_continuation(F: PatchworkFamily, free, u, theta, z):
                 moved[fresh] = False
             val, dh, dbh = F._combine(*_rows(state[1:], live), s)
             res = np.hypot(val.real, val.imag)
+            step = ~(res < 1e-12) if it < 12 else ~(res < 1e-10)
+            if stage == len(stages):
+                passed.append((live[~step], val[~step], dh[~step], dbh[~step]))
             if it == 12:  # out of steps: the looser tolerance decides
-                ok[live[~(res < 1e-10)]] = False
+                ok[live[step]] = False
                 break
-            step = ~(res < 1e-12)
             live, val, dh, dbh = live[step], val[step], dh[step], dbh[step]
             k, f = np.arange(len(live)), free[live]
             ph = np.exp(1j * theta[live, f])
@@ -529,7 +534,13 @@ def _newton_continuation(F: PatchworkFamily, free, u, theta, z):
             with np.errstate(over="ignore", invalid="ignore"):  # caught by the next check
                 z[live] = z[live] + np.hypot(z[live].real, z[live].imag) * dz
             moved[live] = True
-    return ok, state
+    # filled after the loop, so that they do not add to the combines' peak
+    final = (np.zeros(N, dtype=complex), np.zeros((N, F.n), dtype=complex),
+             np.zeros((N, F.n), dtype=complex))
+    for rows, *values in passed:
+        for a, v in zip(final, values):
+            a[rows] = v
+    return ok, state[0], final
 
 
 @dataclass
@@ -570,8 +581,8 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     (continuation failed), `window` (outside the window), `residual` (final
     |f| non-finite or not below 1e-8, the precondition of symplectic_margin;
     |f| = e^{mstar} |f_hat| is taken as infinite where e^{mstar} overflows).
-    The final |f| and the margins are combined at F.s from the terms the
-    continuation kept, not evaluated again: each kept point's residual and
+    The final |f| and the margins come from the continuation's last combine
+    at F.s, not from another evaluation: each kept point's residual and
     margin are those symplectic_margin computes at it.
     """
     if F.n != 2:
@@ -588,11 +599,10 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     k, axis = np.arange(len(z)), fiber // (n_r * n_th)  # fibers in (axis, u, theta) order
     u, theta = np.zeros((len(z), 2)), np.zeros((len(z), 2))
     u[k, axis], theta[k, axis] = radii.ravel()[fiber // n_th], thetas[fiber % n_th]
-    ok, state = _newton_continuation(F, 1 - axis, u, theta, z)
+    ok, mstar, final = _newton_continuation(F, 1 - axis, u, theta, z)
     uf = u[k, 1 - axis]
     inside = ok & (windows[1 - axis, 0] <= uf) & (uf <= windows[1 - axis, 1])
-    mstar, *rest = _rows(state, inside)
-    val, dh, dbh = F._combine(*rest, F.s)
+    mstar, val, dh, dbh = _rows((mstar,) + final, inside)
     scale = _exp(mstar)
     with np.errstate(invalid="ignore"):  # e^{mstar} = inf times 0 is non-finite: dropped
         residuals = scale * np.hypot(val.real, val.imag)

@@ -357,7 +357,8 @@ def cmd_amoeba(config: JobConfig) -> int:
     # before any file is written: an empty window raises EmptyWindow here,
     # and the margin histogram is made
     rescaled = res.points / L if len(res.points) else res.points
-    dist = hausdorff_distance(rescaled, cx, config.window)
+    segments = complex_segments(cx, config.window)
+    dist = hausdorff_distance(rescaled, segments, config.window)
     margins = res.margins
     hist_lines = ["bin_low,bin_high,count"]
     if len(margins):
@@ -391,7 +392,6 @@ def cmd_amoeba(config: JobConfig) -> int:
     }
     _write_json(os.path.join(config.out, "hausdorff.json"), report)
 
-    segments = complex_segments(cx, config.window)
     _svg_overlay(
         os.path.join(config.out, "overlay.svg"),
         config.window,

@@ -730,15 +730,99 @@ def complex_segments(cx: TropicalComplex, window):
     return segs
 
 
-def hausdorff_distance(cloud, cx: TropicalComplex, window) -> float:
-    """Symmetric Hausdorff distance between cloud points and Pi in a window.
+def _lower_hull(a, w) -> np.ndarray:
+    """Indices of the vertices of the lower convex hull of the points
+    (a_i, w_i), a strictly increasing.
 
-    Both directions are computed: sup over cloud points of the distance to
-    Pi (exact point-segment distances) and sup over a dense sample of Pi of
-    the distance to the cloud (nearest neighbour via a KD-tree).
+    Every middle point on or above the chord of its current neighbours is
+    dropped, all at once, until none is.  A hull vertex lies strictly below
+    every chord that spans it, so none is ever dropped, and a chain that is
+    convex at each of its vertices is the hull.
     """
-    from scipy.spatial import cKDTree
+    idx = np.arange(len(a))
+    while len(idx) > 2:
+        a0, w0 = a[:-2], w[:-2]
+        above = (w[1:-1] - w0) * (a[2:] - a0) >= (w[2:] - w0) * (a[1:-1] - a0)
+        if not above.any():
+            break
+        keep = np.concatenate(([True], ~above, [True]))
+        idx, a, w = idx[keep], a[keep], w[keep]
+    return idx
 
+
+def _band_sup(x, y, a, b, p, q, length: float) -> float:
+    """sup over t in [0, length] of g(t) = min_i (t - a_i)^2 + b_i^2, the
+    squared distance from p + t (q - p)/length to the points (x_i, y_i),
+    whose coordinates along and across the segment are a_i and b_i.
+
+    g(t) = t^2 + min_i (w_i - 2 a_i t) with w_i = a_i^2 + b_i^2, and the
+    min is attained at the vertices of the lower convex hull of the points
+    (a_i, w_i): between consecutive vertices j, k it is a convex parabola, and
+    the pieces meet where both are equally near, at
+    t_jk = (a_j + a_k)/2 + (b_k^2 - b_j^2) / (2 (a_k - a_j)).  So the sup is at
+    an end of the segment or at a t_jk inside it.  The ends are measured in
+    the plane's coordinates, as a nearest-neighbour query at p and q would.
+    """
+    if not len(a):
+        return math.inf
+    ends = max(float(np.min((x - p[0]) ** 2 + (y - p[1]) ** 2)),
+               float(np.min((x - q[0]) ** 2 + (y - q[1]) ** 2)))
+    order = np.argsort(a)
+    a, b = a[order], b[order]
+    first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    a, b2 = a[first], np.minimum.reduceat(b * b, first)  # of equal a, the nearest
+    h = _lower_hull(a, a * a + b2)
+    aj, ak, bj, bk = a[h[:-1]], a[h[1:]], b2[h[:-1]], b2[h[1:]]
+    t = 0.5 * (aj + ak) + (bk - bj) / (2.0 * (ak - aj))
+    inside = (0.0 < t) & (t < length)
+    return max(ends, float(np.max((t[inside] - aj[inside]) ** 2 + bj[inside], initial=0.0)))
+
+
+def _pi_to_cloud(cloud, segments, beta: float) -> float:
+    """sup over the segments of the distance to the nearest point of the
+    cloud (N, 2), exact up to rounding.
+
+    On each segment, of length l from p along the unit vector d, only the
+    points of a band |b| <= r, -r <= a <= l + r take part, where
+    a = <(x, y) - p, d> and b is the coordinate across d (_band_sup).  Every
+    other point is farther than r from every point of the segment, so the
+    band's answer is exact once it is at most r; r doubles until it is.  The
+    cloud must not be empty.  beta > 0 sets only where r starts, at
+    max(beta, the answer so far), so a segment no farther from the cloud
+    than that takes one band.
+    """
+    x, y = np.ascontiguousarray(np.asarray(cloud, dtype=float).T)
+    best = 0.0
+    for p, q in segments:
+        rx, ry = x - p[0], y - p[1]
+        length = math.hypot(q[0] - p[0], q[1] - p[1])
+        if length == 0.0:  # a segment clipped to a point
+            best = max(best, float(np.min(rx * rx + ry * ry)))
+            continue
+        d0, d1 = (q[0] - p[0]) / length, (q[1] - p[1]) / length
+        a, b = rx * d0 + ry * d1, ry * d0 - rx * d1
+        r = max(beta, math.sqrt(best))
+        while True:
+            band = np.flatnonzero((np.abs(b) <= r) & (a >= -r) & (a <= length + r))
+            sup = _band_sup(x[band], y[band], a[band], b[band], p, q, length)
+            if sup <= r * r:
+                break
+            r *= 2.0
+        best = max(best, sup)
+    return math.sqrt(best)
+
+
+def hausdorff_distance(cloud, segments, window) -> float:
+    """Symmetric Hausdorff distance between the cloud points inside the
+    window and Pi, given as its segments inside the window
+    (complex_segments).
+
+    Both directions are exact up to rounding: the sup over cloud points of
+    the distance to the nearest segment, and the sup over the segments of
+    the distance to the nearest cloud point (_pi_to_cloud, whose first band
+    is as wide as the first direction's answer, and at least 1/4000 of the
+    window diagonal).
+    """
     x0, x1, y0, y1 = window
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -747,13 +831,12 @@ def hausdorff_distance(cloud, cx: TropicalComplex, window) -> float:
     pts = pts[mask]
     if len(pts) == 0:
         raise EmptyWindow("no cloud points inside the window")
-    segs = complex_segments(cx, window)
-    if not segs:
+    if not segments:
         raise EmptyWindow("tropical complex does not meet the window")
 
     # cloud -> Pi
     best = np.full(len(pts), np.inf)
-    for p, q in segs:
+    for p, q in segments:
         pv = np.array(p)
         dv = np.array(q) - pv
         denom = float(dv @ dv)
@@ -767,15 +850,6 @@ def hausdorff_distance(cloud, cx: TropicalComplex, window) -> float:
     d_cloud = float(np.max(best))
 
     # Pi -> cloud
-    diag = math.hypot(x1 - x0, y1 - y0)
-    step = diag / 2000  # Pi is sampled at steps of 1/2000 of the window diagonal
-    samples = []
-    for p, q in segs:
-        length = math.hypot(q[0] - p[0], q[1] - p[1])
-        k = max(int(length / step) + 1, 2)
-        ts = np.linspace(0.0, 1.0, k)
-        samples.append(np.outer(1 - ts, p) + np.outer(ts, q))
-    sam = np.vstack(samples)
-    tree = cKDTree(pts)
-    d_pi = float(np.max(tree.query(sam)[0]))
+    floor = math.hypot(x1 - x0, y1 - y0) / 4000
+    d_pi = _pi_to_cloud(pts, segments, max(d_cloud, floor))
     return max(d_cloud, d_pi)

@@ -44,6 +44,7 @@ from tropmirror.tropical import (
     HeightFunction,
     TropicalComplex,
     choose_scale,
+    complex_segments,
     hausdorff_distance,
     legendre_value,
     regular_subdivision,
@@ -360,7 +361,8 @@ def test_criterion_07_amoeba_convergence():
         L = F.L
         box = (window[0] * L, window[1] * L, window[2] * L, window[3] * L)
         res = amoeba_sample_curve(F, 64, (box, 200))
-        dists.append(hausdorff_distance(res.points / L, F.complex, window))
+        segments = complex_segments(F.complex, window)
+        dists.append(hausdorff_distance(res.points / L, segments, window))
     elapsed = time.monotonic() - start
     assert dists[0] > dists[1] > dists[2], dists
     assert dists[2] < 0.15, dists

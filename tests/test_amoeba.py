@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import null_space
+from scipy.spatial import cKDTree
 
 from tropmirror.lattice import Fan, polytope_from_bundle
 from tropmirror.tropical import (
@@ -16,6 +17,7 @@ from tropmirror.tropical import (
     InvalidEps,
     TropicalComplex,
     _Polyhedra,
+    _pi_to_cloud,
     complex_segments,
     choose_scale,
     hausdorff_distance,
@@ -744,7 +746,7 @@ def test_continuation_matches_uncached_oracle(variety, logt, s, monkeypatch):
         return cutoff_states(self, pts)
 
     monkeypatch.setattr(PatchworkFamily, "cutoff_states", recorded)
-    ok, (mstar, T, phis, grads) = _newton_continuation(F, free, u, theta, z)
+    ok, mstar, final = _newton_continuation(F, free, u, theta, z)
     monkeypatch.undo()
 
     assert np.count_nonzero(ok0) > 100
@@ -752,11 +754,11 @@ def test_continuation_matches_uncached_oracle(variety, logt, s, monkeypatch):
         assert new.tobytes() == old.tobytes()
     assert (len(stacks) > 0) == (s > 0.0)
     assert 0 not in stacks
-    # the returned state is the state at the final point: combined at F.s it
-    # is eval_scaled there, as the sampler's residual gate uses it
+    # the returned values are those of the last combine at F.s: at every row
+    # that made it they are eval_scaled at the final point, as the sampler's
+    # residual gate and margins use them
     rows = np.flatnonzero(ok)
-    cut = (phis[rows], grads[rows]) if s > 0.0 else (None, None)
-    got = (mstar[rows],) + F._combine(T[rows], *cut, F.s)
+    got = (mstar[rows],) + tuple(a[rows] for a in final)
     for new, old in zip(got, F.eval_scaled(u[rows], theta[rows])):
         assert new.tobytes() == old.tobytes()
 
@@ -819,9 +821,47 @@ def test_rescaled_hausdorff_decreases():
         F = p2_family(t=math.exp(k), s=0.0)
         L = F.L
         res = amoeba_sample_curve(F, 24, ((-3 * L, 3 * L, -3 * L, 3 * L), 60))
-        vals.append(hausdorff_distance(res.points / L, cx, window))
+        vals.append(hausdorff_distance(res.points / L, complex_segments(cx, window), window))
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.15
+
+
+def oracle_sampled_pi_to_cloud(cloud, segments, window):
+    """The Pi -> cloud side sampled: the largest distance from samples of
+    each segment, 1/2000 of the window diagonal apart, to the nearest cloud
+    point, by a KD-tree query.  A lower bound on the sup, by at most half
+    the sample spacing."""
+    x0, x1, y0, y1 = window
+    step = math.hypot(x1 - x0, y1 - y0) / 2000
+    samples = []
+    for p, q in segments:
+        length = math.hypot(q[0] - p[0], q[1] - p[1])
+        k = max(int(length / step) + 1, 2)
+        ts = np.linspace(0.0, 1.0, k)
+        samples.append(np.outer(1 - ts, p) + np.outer(ts, q))
+    return float(np.max(cKDTree(cloud).query(np.vstack(samples))[0]))
+
+
+@pytest.mark.parametrize("variety, logt, s, grid", [
+    pytest.param("p2", 8.0, 0.0, 120, id="p2-desk"),
+    pytest.param("p2", 8.0, 1.0, 16, id="p2-g16"),
+    pytest.param("p2", None, 1.0, 40, id="p2-certified"),
+    pytest.param("f1", None, 1.0, 12, id="f1-certified"),
+])
+def test_exact_pi_to_cloud_brackets_the_kd_tree_sample(variety, logt, s, grid):
+    # the clouds amoeba writes at these settings (None is t*): the sample
+    # is a lower bound, at most half its step below the exact side
+    t = math.exp(logt) if logt is not None else certified_t(variety)
+    F = PatchworkFamily.from_fan(*FANS[variety], t=t, s=s)
+    L, window = F.L, (-3.0, 3.0, -3.0, 3.0)
+    res = amoeba_sample_curve(F, max(4, grid // 3), ((-3 * L, 3 * L, -3 * L, 3 * L), grid))
+    cloud = res.points / L
+    cloud = cloud[(np.abs(cloud) <= 3.0).all(axis=1)]
+    segments = complex_segments(F.complex, window)
+    sampled = oracle_sampled_pi_to_cloud(cloud, segments, window)
+    exact = _pi_to_cloud(cloud, segments, 1e-3)
+    assert sampled <= exact <= sampled + math.hypot(6.0, 6.0) / 4000
+    assert hausdorff_distance(cloud, segments, window) >= exact
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ of raising SystemExit), with outputs written into pytest tmp dirs.
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,11 +291,14 @@ def test_tropical_rationals_are_strings(tmp_path):
 
 def test_one_complex_per_run(tmp_path, monkeypatch):
     # a tropical job builds the complex once and derives the constants from
-    # it; an amoeba job with an explicit --t needs no constants at all
+    # it; an amoeba job with an explicit --t needs no constants at all, and
+    # builds Pi's segments once, for the Hausdorff distance and the overlay
+    from tropmirror import tropical
     from tropmirror.tropical import TropicalComplex
 
-    calls = {"builds": 0, "constants": 0}
+    calls = {"builds": 0, "constants": 0, "segments": 0}
     build, constants = TropicalComplex.__init__, cli.tropical_constants
+    segments = tropical.complex_segments
 
     def counted_build(self, *args, **kwargs):
         calls["builds"] += 1
@@ -303,15 +308,21 @@ def test_one_complex_per_run(tmp_path, monkeypatch):
         calls["constants"] += 1
         return constants(*args, **kwargs)
 
+    def counted_segments(*args, **kwargs):
+        calls["segments"] += 1
+        return segments(*args, **kwargs)
+
     monkeypatch.setattr(TropicalComplex, "__init__", counted_build)
     monkeypatch.setattr(cli, "tropical_constants", counted_constants)
+    for module in (cli, tropical):
+        monkeypatch.setattr(module, "complex_segments", counted_segments)
     fan = write_fan(tmp_path, P2)
     assert main(["tropical", "--input", fan, "--out", str(tmp_path / "t")]) == 0
-    assert calls == {"builds": 1, "constants": 1}
+    assert calls == {"builds": 1, "constants": 1, "segments": 0}
     calls.update(builds=0, constants=0)
     args = amoeba_args(fan, str(tmp_path / "a"), math.exp(2.0)) + ["--s", "0"]
     assert main(args) == 0
-    assert calls == {"builds": 1, "constants": 0}
+    assert calls == {"builds": 1, "constants": 0, "segments": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +720,30 @@ def test_seed_changes_no_output(tmp_path):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+AMOEBA_WITHOUT_SCIPY = """
+import sys
+from tropmirror.cli import main
+code = main(["amoeba", "--input", sys.argv[1], "--out", sys.argv[2],
+             "--t", "2980.9579870417283", "--s", "0", "--grid", "24"])
+print("exit", code, "scipy loaded:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_amoeba_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: a whole amoeba run at log t = 8 (the
+    # t above is repr(e^8)) imports no scipy module
+    fan = write_fan(tmp_path, P2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-c", AMOEBA_WITHOUT_SCIPY, fan, str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit 0 scipy loaded: []"
+    assert (tmp_path / "out" / "hausdorff.json").exists()
+
 
 def test_module_invocation_help():
     proc = subprocess.run(

@@ -25,3 +25,19 @@ def test_distribution_metadata_matches_the_package():
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     fields = dict(re.findall(r'^(name|version) = "([^"]*)"$', project, re.M))
     assert fields == {"name": "tropmirror", "version": tropmirror.__version__}
+
+
+def test_scipy_is_not_a_runtime_dependency():
+    # scipy is in the test extra only: no module of the package imports it,
+    # and the runtime dependencies name numpy alone
+    imported = set()
+    for path in sorted(pathlib.Path(tropmirror.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert "scipy" not in imported
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert re.findall(r'"([^"]*)"', deps) == ["numpy>=1.24"]

@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tropmirror
+from tropmirror import tropical
 from tropmirror.lattice import Fan, NotConvex, affine_dim, dot, hull, polytope_from_bundle
 from tropmirror.tropical import (
     Cell,
@@ -33,6 +34,7 @@ from tropmirror.tropical import (
     TropicalComplex,
     _Polyhedra,
     _cell_proper_faces,
+    _pi_to_cloud,
     certified_log_scale,
     check_bundle_subdivision,
     choose_scale,
@@ -756,14 +758,14 @@ def test_hausdorff_self_is_tiny():
     cx = TropicalComplex(p2_height())
     window = (-3.0, 3.0, -3.0, 3.0)
     cloud = _pi_cloud(cx, window)
-    assert hausdorff_distance(cloud, cx, window) < 0.02
+    assert hausdorff_distance(cloud, complex_segments(cx, window), window) < 0.02
 
 
 def test_hausdorff_detects_a_shift():
     cx = TropicalComplex(p2_height())
     window = (-3.0, 3.0, -3.0, 3.0)
     cloud = _pi_cloud(cx, window) + np.array([0.5, 0.0])
-    d = hausdorff_distance(cloud, cx, window)
+    d = hausdorff_distance(cloud, complex_segments(cx, window), window)
     assert 0.3 <= d <= 0.52
 
 
@@ -772,7 +774,89 @@ def test_hausdorff_empty_window():
     window = (-3.0, 3.0, -3.0, 3.0)
     cloud = _pi_cloud(cx, window)
     with pytest.raises(EmptyWindow):
-        hausdorff_distance(cloud + 100.0, cx, window)
+        hausdorff_distance(cloud + 100.0, complex_segments(cx, window), window)
+    far = (10.0, 11.0, -5.0, -4.0)  # a region the complex provably misses
     with pytest.raises(EmptyWindow):
-        # a region the complex provably misses
-        hausdorff_distance(np.array([[10.5, -4.5]]), cx, (10.0, 11.0, -5.0, -4.0))
+        hausdorff_distance(np.array([[10.5, -4.5]]), complex_segments(cx, far), far)
+
+
+def oracle_dense_pi_to_cloud(cloud, segments, step):
+    """(value, spacing): the largest distance from a point of an even sample
+    of each segment, at most `step` apart, to its nearest cloud point (brute
+    force), and the largest spacing used.  The exact sup lies in
+    [value, value + spacing / 2]: distance to the cloud is 1-Lipschitz."""
+    samples, spacing = [], 0.0
+    for p, q in segments:
+        length = math.hypot(q[0] - p[0], q[1] - p[1])
+        k = max(math.ceil(length / step), 1) + 1
+        spacing = max(spacing, length / (k - 1))
+        ts = np.linspace(0.0, 1.0, k)
+        samples.append(np.outer(1 - ts, p) + np.outer(ts, q))
+    sam = np.vstack(samples)
+    d2 = ((sam[:, None, :] - np.asarray(cloud)[None, :, :]) ** 2).sum(axis=-1)
+    return math.sqrt(d2.min(axis=1).max()), spacing
+
+
+PI_SEGMENTS = [complex_segments(TropicalComplex(HeightFunction.from_bundle(fan, phi)),
+                                (-3.0, 3.0, -3.0, 3.0))
+               for fan, phi in ((P2_FAN, (1, 1, 1)), (P1XP1_FAN, (1, 1, 1, 1)))]
+coordinate = st.floats(-3.0, 3.0)
+plane_point = st.tuples(coordinate, coordinate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(plane_point, min_size=1, max_size=20),
+       st.one_of(st.sampled_from(PI_SEGMENTS),
+                 st.lists(st.tuples(plane_point, plane_point), min_size=1, max_size=3)),
+       st.floats(1e-6, 10.0))
+def test_pi_to_cloud_matches_dense_sampling(cloud, segments, beta):
+    # Pi of P^2 or P^1 x P^1 in the window, or random segments (some of
+    # length 0), against a sample at most 1e-3 apart; beta only sets where
+    # the band's doubling starts
+    sampled, spacing = oracle_dense_pi_to_cloud(cloud, segments, 1e-3)
+    exact = _pi_to_cloud(cloud, segments, beta)
+    assert sampled - 1e-12 <= exact <= sampled + spacing / 2 + 1e-12
+
+
+def test_pi_to_cloud_doubles_the_band_until_it_holds_the_answer(monkeypatch):
+    # no point lies in the first band, nor in the next few
+    bands = []
+    band_sup = tropical._band_sup
+
+    def counted(x, *args):
+        bands.append(len(x))
+        return band_sup(x, *args)
+
+    monkeypatch.setattr(tropical, "_band_sup", counted)
+    d = _pi_to_cloud([(0.5, 2.0)], [((0.0, 0.0), (1.0, 0.0))], 1e-3)
+    assert d == pytest.approx(math.hypot(0.5, 2.0), rel=1e-15)
+    # at 1e-3 * 2^11 = 2.048 the band holds the point, but the answer, 2.06,
+    # is wider than the band: one more doubling
+    assert bands == [0] * 11 + [1, 1]
+
+
+def test_pi_to_cloud_keeps_the_nearest_of_equal_a():
+    # three points at a = 0 and two at a = 4, in an order that puts a far
+    # one first: only b^2 = 0.01 and 0.04 count, and the sup is where
+    # t^2 + 0.01 = (t - 4)^2 + 0.04, at t = 16.03 / 8
+    cloud = [(0.0, 0.5), (4.0, -0.6), (0.0, -0.1), (4.0, 0.2), (0.0, 0.3)]
+    t = 16.03 / 8
+    d = _pi_to_cloud(cloud, [((0.0, 0.0), (4.0, 0.0))], 0.5)
+    assert d == pytest.approx(math.sqrt(t * t + 0.01), rel=1e-14)
+
+
+def test_hausdorff_of_a_single_point_and_of_pi_clipped_to_points():
+    cx = TropicalComplex(p2_height())
+    window = (-3.0, 3.0, -3.0, 3.0)
+    segments = complex_segments(cx, window)
+    c = (0.3, -0.2)
+    # one point: Pi's farthest point from it is an end of a segment
+    far = max(math.dist(c, e) for seg in segments for e in seg)
+    d = hausdorff_distance(np.array([c]), segments, window)
+    assert d == pytest.approx(far, rel=1e-15)
+    # the window's corner touches Pi only at its vertex (-2, 1)
+    corner = (-2.5, -2.0, 0.5, 1.0)
+    segments = complex_segments(cx, corner)
+    assert segments and all(p == q == (-2.0, 1.0) for p, q in segments)
+    d = hausdorff_distance(np.array([(-2.2, 0.8), (-2.0, 0.9)]), segments, corner)
+    assert d == pytest.approx(math.hypot(0.2, 0.2), rel=1e-15)
