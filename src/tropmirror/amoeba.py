@@ -201,7 +201,7 @@ class PatchworkFamily:
     """
 
     def __init__(self, cx: TropicalComplex, t: float, s: float,
-                 eps: float = 0.1, coefficients: Sequence[complex] | None = None):
+                 eps: float = 0.1, *, coefficients: Sequence[complex]):
         if not (t > 1):
             raise ValueError("the scale t must exceed 1")
         if not (0.0 <= s <= 1.0):
@@ -216,8 +216,6 @@ class PatchworkFamily:
         self.eps = float(eps)
         self.L = math.log(self.t)
         self.profile = CutoffProfile(0.5 * self.eps * self.L, self.eps * self.L)
-        if coefficients is None:
-            coefficients = [1.0] * len(height.points)
         if len(coefficients) != len(height.points):
             raise ValueError("one coefficient per support point")
         self.coefficients = np.array([complex(c) for c in coefficients])
@@ -233,7 +231,7 @@ class PatchworkFamily:
     @classmethod
     def from_fan(cls, fan: Fan, phi, t: float, s: float, eps: float = 0.1):
         cx = TropicalComplex(HeightFunction.from_bundle(fan, phi))
-        return cls(cx, t, s, eps, [-1.0] + [1.0] * len(fan.rays))
+        return cls(cx, t, s, eps, coefficients=[-1.0] + [1.0] * len(fan.rays))
 
     @property
     def n(self) -> int:

@@ -88,13 +88,13 @@ class JobConfig:
     command: str
     input: str
     out: str
-    t: float | None = None       # None: pick via choose_scale
-    s: float = 1.0
-    eps: float = 0.1
-    J: int = 3
-    grid: int = 40
-    window: tuple = (-3.0, 3.0, -3.0, 3.0)
-    seed: int = 0                # accepted and ignored (see --seed)
+    t: float | None              # None: pick via choose_scale
+    s: float
+    eps: float
+    J: int
+    grid: int
+    window: tuple
+    seed: int                    # accepted and ignored (see --seed)
 
     def validate(self) -> None:
         if self.t is not None and not (math.isfinite(self.t) and self.t > 1.0):

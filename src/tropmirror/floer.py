@@ -108,7 +108,7 @@ def floer_group(Q: Polytope, l1: int, l2: int) -> FloerGroup:
     """
     n = Q.n
     zero = (0,) * n
-    if Q.degenerate or Q.dim < n or not Q.contains_strictly(zero):
+    if not Q.contains_strictly(zero):
         warnings.warn(
             "polytope is not full-dimensional with the origin interior; "
             "twisted-section geometry degenerates",

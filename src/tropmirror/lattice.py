@@ -6,7 +6,9 @@ the geometry (vertices, halfspace bounds, determinants) is in
 algorithm is one algorithm for every dimension n >= 1: the convex hull, the
 vertex enumeration with its recession test, and the fan completeness test
 are exact for every n (their docstrings give the proofs), at a cost that
-grows with the number of n-subsets of their input.  Lattice
+grows with the number of n-subsets of their input.  The hull is also the
+one hull of the tropical layer: the regular subdivision of a height
+function is the lower hull of its lifted support.  Lattice
 points come from one integer column sweep, `_lattice_columns`, that gives
 each column of the box its interval of last coordinates by floor division.
 Two readers sit on it: the public `lattice_points` and
@@ -18,7 +20,7 @@ which the Floer ladder, the ring bases and the isomorphism check read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from operator import mul
@@ -180,17 +182,20 @@ class Polytope:
     halfspaces are pairs (normal, bound) with the convention
     <normal, y> <= bound; normals are primitive integer vectors.  A
     lower-dimensional polytope (dim < n) keeps its affine hull as pairs of
-    opposite inequalities and sets `degenerate`.
+    opposite inequalities and is `degenerate`.
     """
 
     n: int
     vertices: tuple[Vec, ...]
     halfspaces: tuple[tuple[tuple[int, ...], Fraction], ...]
     dim: int
-    degenerate: bool = field(default=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
+
+    @property
+    def degenerate(self) -> bool:
+        return self.dim < self.n
 
     # -- membership ---------------------------------------------------
     def contains(self, point: Sequence) -> bool:
@@ -222,7 +227,6 @@ class Polytope:
             tuple(tuple(k * x for x in v) for v in self.vertices),
             tuple((a, k * b) for a, b in self.halfspaces),
             self.dim,
-            self.degenerate,
         )
 
     def translate(self, w: Sequence) -> "Polytope":
@@ -232,7 +236,6 @@ class Polytope:
             tuple(tuple(x + y for x, y in zip(v, t)) for v in self.vertices),
             tuple((a, b + dot(a, t)) for a, b in self.halfspaces),
             self.dim,
-            self.degenerate,
         )
 
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
@@ -263,8 +266,7 @@ class Polytope:
         if not verts:
             raise ValueError("halfspace intersection is empty")
         hs = tuple(sorted({primitive_row(a, b) for a, b in zip(rows, bs) if any(a)}))
-        d = affine_dim(sorted(verts))
-        return Polytope(n, tuple(sorted(verts)), hs, d, degenerate=d < n)
+        return Polytope(n, tuple(verts), hs, affine_dim(verts))
 
 
 def _recession_nontrivial(rows: list[Vec], n: int) -> bool:
@@ -317,7 +319,7 @@ def hull(points: Sequence[Sequence]) -> Polytope:
             e = tuple(1 if j == i else 0 for j in range(n))
             hs.append((e, p[i]))
             hs.append((tuple(-x for x in e), -p[i]))
-        return Polytope(n, (p,), tuple(sorted(hs)), 0, degenerate=n > 0)
+        return Polytope(n, (p,), tuple(sorted(hs)), 0)
     if d < n:
         return _hull_degenerate(pts, n, d)
     return _hull_fulldim(pts, n)
@@ -343,7 +345,7 @@ def _hull_fulldim(pts: list[Vec], n: int) -> Polytope:
         tight = [a for a, b in facets if dot(a, p) == b]
         if mat_rank(tight) == n:
             verts.append(p)
-    return Polytope(n, tuple(verts), tuple(sorted(facets)), n, degenerate=False)
+    return Polytope(n, tuple(verts), tuple(sorted(facets)), n)
 
 
 def _hull_degenerate(pts: list[Vec], n: int, d: int) -> Polytope:
@@ -392,7 +394,7 @@ def _hull_degenerate(pts: list[Vec], n: int, d: int) -> Polytope:
         if all(x == 0 for x in a_t):
             continue
         hs.append(primitive_row(a_t, _frac(b_in) + dot(a_t, p0)))
-    return Polytope(n, verts, tuple(sorted(set(hs))), d, degenerate=True)
+    return Polytope(n, verts, tuple(sorted(set(hs))), d)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +464,7 @@ def _lattice_columns(
     a[-1] > 0, below when a[-1] < 0; a[-1] = 0 keeps or empties the whole
     column), so the column's points are one integer interval.
     """
-    if strict and (poly.degenerate or poly.dim < poly.n):
+    if strict and poly.degenerate:
         raise LowerDimensional("interior of a lower-dimensional polytope is empty")
     if not isinstance(d, int) or d < 1:
         raise ValueError("refinement d must be a positive integer")

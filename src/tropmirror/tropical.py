@@ -2,9 +2,11 @@
 
 The combinatorial half of this module (lower-hull subdivision, Legendre
 transform, faces and complement components of the tropical hypersurface) is
-exact over Q: facet coplanarity is decided by rational elimination and no
-epsilon ever enters.  So is the separation constant behind the certified
-scale: its square is rational, and only its square root is taken in floats.
+exact over Q: the subdivision is the lower hull of the lifted support, read
+from one exact `lattice.hull` of the points (alpha, nu(alpha)), whose facets
+also give every face of every cell, and no epsilon ever enters.  So is the
+separation constant behind the certified scale: its square is rational, and
+only its square root is taken in floats.
 The rest of the quantitative half (distortion constants, the patchworking
 scale, Hausdorff distances between point clouds and the complex) is
 numerical by nature and uses floats; no combinatorial decision depends on a
@@ -113,10 +115,14 @@ class Cell:
 
 @dataclass(frozen=True)
 class CoherentSubdivision:
+    """The cells, and the tie sets of every facet of the lifted hull (lower,
+    upper and vertical), from which the faces of the cells are read."""
+
     height: HeightFunction
     cells: tuple[Cell, ...]
     is_triangulation: bool
     is_maximal: bool
+    facets: tuple[frozenset, ...]
 
     def edges(self) -> set[frozenset]:
         """1-faces of the subdivision as index pairs (triangulations only)."""
@@ -131,35 +137,29 @@ class CoherentSubdivision:
 def regular_subdivision(h: HeightFunction) -> CoherentSubdivision:
     """Lower-hull subdivision of the lifted points {(alpha, nu(alpha))}.
 
-    A candidate affine function is accepted when it interpolates n+1
-    affinely independent lifted points and is nowhere above the lift; the
-    cell is its full tie set, so ties stay as bigger (non-simplicial) cells.
+    One exact hull of the lift gives it: the cells are the facets
+    <a, y> <= b with a[-1] < 0, each the graph over its cell of
+    g(x) = <-a[:-1]/a[-1], x> + b/a[-1], which equals nu on the facet's
+    tie set and lies strictly below nu off it, so ties stay as bigger
+    (non-simplicial) cells.  A flat lift spans only a hyperplane: hull
+    keeps it as a pair of opposite rows, the one with a[-1] < 0 is the
+    single cell, and the pulled-back facets are vertical.
     """
     n = h.n
     A = h.points
-    nu = h.values
     if affine_dim(A) < n:
         raise DegenerateSupport("support points do not span R^n affinely")
-    found: dict[frozenset, tuple[Vec, Fraction]] = {}
-    for S in itertools.combinations(range(len(A)), n + 1):
-        rows = [list(A[i]) + [1] for i in S]
-        sol = solve_square(rows, [nu[i] for i in S])
-        if sol is None:
-            continue
-        m, c = sol[:n], sol[n]
-        vals = [dot(m, A[i]) + c for i in range(len(A))]
-        if any(vals[i] > nu[i] for i in range(len(A))):
-            continue
-        tie = frozenset(i for i in range(len(A)) if vals[i] == nu[i])
-        if affine_dim([A[i] for i in tie]) == n:
-            found[tie] = (tuple(m), c)
-    cells = tuple(
-        Cell(tuple(sorted(tie)), grad, off)
-        for tie, (grad, off) in sorted(found.items(), key=lambda kv: tuple(sorted(kv[0])))
-    )
+    lift = [p + (v,) for p, v in zip(A, h.values)]
+    cells, facets = [], []
+    for a, b in hull(lift).halfspaces:
+        tie = tuple(i for i, y in enumerate(lift) if dot(a, y) == b)
+        facets.append(frozenset(tie))
+        if a[-1] < 0:
+            cells.append(Cell(tie, tuple(Fraction(-x, a[-1]) for x in a[:-1]), b / a[-1]))
+    cells.sort(key=lambda c: c.indices)
     is_tri = all(len(c.indices) == n + 1 for c in cells)
     is_max = is_tri and all(_unimodular(c, A, n) for c in cells)
-    return CoherentSubdivision(h, cells, is_tri, is_max)
+    return CoherentSubdivision(h, tuple(cells), is_tri, is_max, tuple(facets))
 
 
 def _unimodular(cell: Cell, A, n: int) -> bool:
@@ -261,11 +261,20 @@ class TropicalComplex:
         A = height.points
         nu = height.values
 
-        # subdivision faces (saturated tie sets), all dimensions
+        # subdivision faces (saturated tie sets), all dimensions.  Every
+        # nonempty face of a polytope is an intersection of facets, so the
+        # proper faces of a cell are its nonempty meets with the other
+        # facets of the lifted hull, closed under intersection
         face_dims: dict[frozenset, int] = {}
         for cell in self.subdivision.cells:
-            face_dims[frozenset(cell.indices)] = n
-            for f in _cell_proper_faces(cell.indices, A):
+            S = frozenset(cell.indices)
+            face_dims[S] = n
+            meets = {S & T for T in self.subdivision.facets if T != S} - {frozenset()}
+            proper, new = set(meets), meets
+            while new:
+                new = {f & g for f in new for g in meets if f & g} - proper
+                proper |= new
+            for f in proper:
                 face_dims[f] = affine_dim([A[i] for i in f])
 
         faces = []
@@ -337,27 +346,6 @@ class TropicalComplex:
             return None
         comp = self.components[zi]
         return Polytope.from_halfspaces(list(comp.normals), list(comp.bounds))
-
-
-def _cell_proper_faces(indices: Sequence[int], A) -> set[frozenset]:
-    """All proper faces (every dimension) of the full-dimensional cell
-    conv(A[i] for i in indices), as saturated tie sets.
-
-    Every nonempty face of a polytope is an intersection of facets and
-    contains a vertex, so the facet tie sets of one hull, closed under
-    intersection and cleared of the empty set, are exactly the proper faces.
-    """
-    cell = tuple(indices)
-    facets = {
-        frozenset(i for i in cell if dot(a, A[i]) == b)
-        for a, b in hull([A[i] for i in cell]).halfspaces
-    }
-    out = set(facets)
-    new = facets
-    while new:
-        new = {f & g for f in new for g in facets if f & g} - out
-        out |= new
-    return out
 
 
 def face_geometry(face: TropicalFace, n: int):

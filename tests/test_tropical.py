@@ -33,7 +33,6 @@ from tropmirror.tropical import (
     NotTriangulation,
     TropicalComplex,
     _Polyhedra,
-    _cell_proper_faces,
     _pi_to_cloud,
     certified_log_scale,
     check_bundle_subdivision,
@@ -194,6 +193,39 @@ def test_random_supports_against_oracle():
         oracle_check_subdivision(h, subd)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cells_support_the_lift_in_every_dimension(n):
+    # free rational, tied {0, 1} and flat heights on random supports: each
+    # cell's affine function equals nu on its tie set and lies strictly below
+    # it off the set, the tie set spans R^n, and every ridge of a cell lies in
+    # one other cell or on the boundary of conv(A), so the cells cover it
+    rng = random.Random(40 + n)
+    r = 2 if n == 1 else 1
+    for trial in range(24):
+        kind = ("free", "tied", "flat")[trial % 3]
+        A = sorted({tuple(rng.randint(-r, r) for _ in range(n)) for _ in range(n + 5)})
+        if affine_dim(A) < n:
+            continue
+        if kind == "free":
+            nu = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in A]
+        else:
+            nu = [rng.randint(0, 1) if kind == "tied" else 0 for _ in A]
+        subd = regular_subdivision(HeightFunction(tuple(A), tuple(nu)))
+        if kind == "flat":
+            assert [c.indices for c in subd.cells] == [tuple(range(len(A)))]
+        boundary = hull(A).halfspaces
+        for cell in subd.cells:
+            assert affine_dim([A[i] for i in cell.indices]) == n
+            for i, (p, v) in enumerate(zip(A, nu)):
+                g = dot(cell.gradient, p) + cell.offset
+                assert g == v if i in cell.indices else g < v
+            for normal, bound in hull([A[i] for i in cell.indices]).halfspaces:
+                ridge = {i for i in cell.indices if dot(normal, A[i]) == bound}
+                shared = sum(ridge <= set(c.indices) for c in subd.cells)
+                outer = any(all(dot(a, A[i]) == b for i in ridge) for a, b in boundary)
+                assert shared == (1 if outer else 2)
+
+
 # ---------------------------------------------------------------------------
 # bundle subdivision predicate
 # ---------------------------------------------------------------------------
@@ -345,16 +377,54 @@ def oracle_cell_proper_faces(indices, A):
     return out
 
 
+def oracle_complex_duals(cx):
+    """The dual tie sets the faces of Pi must have: every cell, and every
+    proper face of a cell of positive dimension (a vertex of the
+    subdivision is dual to a component, not to a face)."""
+    A = cx.height.points
+    out = set()
+    for cell in cx.subdivision.cells:
+        out.add(frozenset(cell.indices))
+        out.update(f for f in oracle_cell_proper_faces(cell.indices, A)
+                   if affine_dim([A[i] for i in f]) > 0)
+    return out
+
+
+def check_faces_against_oracle(cx):
+    A = cx.height.points
+    assert {frozenset(f.dual_indices) for f in cx.faces} == oracle_complex_duals(cx)
+    for f in cx.faces:
+        assert f.dim == cx.n - affine_dim([A[i] for i in f.dual_indices])
+
+
 def test_cube_cell_faces():
-    # one non-simplicial cell: 6 squares, 12 edges and 8 vertices
+    # one non-simplicial cell: 6 squares, 12 edges and 8 vertices, dual to
+    # the 1- and 2-faces of Pi; the cell itself is dual to its one vertex
     A = tuple(itertools.product((0, 1), repeat=3))
     cx = TropicalComplex(HeightFunction(A, (0,) * 8))
     (cell,) = cx.subdivision.cells
-    faces = _cell_proper_faces(cell.indices, A)
-    dims = sorted(affine_dim([A[i] for i in f]) for f in faces)
+    dims = sorted(affine_dim([A[i] for i in f])
+                  for f in oracle_cell_proper_faces(cell.indices, A))
     assert dims == [0] * 8 + [1] * 12 + [2] * 6
-    assert faces == oracle_cell_proper_faces(cell.indices, A)
+    assert [f.dim for f in cx.faces] == [0] + [1] * 6 + [2] * 12
+    check_faces_against_oracle(cx)
     assert cx.vertices() == [((0, 0, 0), tuple(range(8)))]
+
+
+@pytest.mark.parametrize(
+    "height", [p2_height(), HeightFunction(((0, 0), (1, 0), (0, 1)), (0, 0, 0))],
+    ids=["p2", "flat"])
+def test_one_hull_per_complex(monkeypatch, height):
+    # the subdivision and every face of it come from one hull of the lift
+    calls = []
+
+    def counting_hull(points):
+        calls.append(points)
+        return hull(points)
+
+    monkeypatch.setattr(tropical, "hull", counting_hull)
+    TropicalComplex(height)
+    assert len(calls) == 1
 
 
 @st.composite
@@ -375,9 +445,7 @@ def tied_height(draw):
 @settings(max_examples=120, deadline=None)
 @given(tied_height())
 def test_faces_and_vertices_match_the_recursive_oracle(cx):
-    A = cx.height.points
-    for cell in cx.subdivision.cells:
-        assert _cell_proper_faces(cell.indices, A) == oracle_cell_proper_faces(cell.indices, A)
+    check_faces_against_oracle(cx)
     solved = [(face_geometry(f, cx.n)[1], f.dual_indices) for f in cx.faces if f.dim == 0]
     assert cx.vertices() == solved
 

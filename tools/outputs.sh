@@ -52,6 +52,17 @@ cat > "$OUT/fans/p3.json" <<'EOF'
 {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], "phi": ["1", "1", "1", "1"]}
 EOF
 
+# subdivision corner cases: rank 4, a flat lift (one cell), tied cells
+cat > "$OUT/fans/p4.json" <<'EOF'
+{"rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]], "max_cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]], "phi": ["1", "1", "1", "1", "1"]}
+EOF
+cat > "$OUT/fans/p2-flat.json" <<'EOF'
+{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]], "phi": ["0", "0", "0"]}
+EOF
+cat > "$OUT/fans/p1xp1-tied.json" <<'EOF'
+{"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]], "phi": ["1", "0", "1", "0"]}
+EOF
+
 T_E8=2980.9579870417283  # repr(math.exp(8.0)): log t = 8
 
 # run CASE FAN SUBCOMMAND [FLAGS...]
@@ -73,6 +84,11 @@ for fan in p1 p2 p1xp1 f1 p3; do
     run "tropical-$fan" "$fan" tropical
     run "verify-$fan-J3" "$fan" verify --J 3
     run "hilbert-$fan-J8" "$fan" hilbert --J 8
+done
+
+for fan in p4 p2-flat p1xp1-tied; do
+    run "subdivide-$fan" "$fan" subdivide
+    run "tropical-$fan" "$fan" tropical
 done
 
 # the amoeba jobs of the benchmark (bench/workloads.py)
