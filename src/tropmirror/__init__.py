@@ -7,8 +7,12 @@ in the public lattice points, the exact geometry and the JSON boundary
 (`lattice.frac_str`); the Floer ladder, the ring bases and the isomorphism
 check run on integer numerators, the Floer product tables in bounded int64
 arithmetic.
+
+Importing the package loads none of its modules: import the one you use
+(`tropmirror.lattice`, `tropmirror.tropical`, ...).  The command line
+(`tropmirror.cli`) loads only the lattice layer up front and each command's
+own modules when it runs, so `subdivide` and `hilbert` start without the
+amoeba code, and `hilbert` without numpy.
 """
 
 __version__ = "0.1.0"
-
-from . import amoeba, coordring, floer, lattice, tropical  # noqa: F401

@@ -14,8 +14,13 @@ byte-identical output files.  No output depends on --seed: the flag is
 accepted and ignored, and stays only until the benchmark stops passing it.
 Everything runs on a single thread.
 
+Importing this module loads the lattice layer alone, which holds every
+exception `main` maps to an exit code; each command imports its own modules
+when it runs, so `hilbert` starts without numpy or the numeric layers.
+
 Exit codes: 0 success, 1 malformed input or invalid parameters, 2 domain
-error (non-convex support function, unbounded/degenerate polytope), 3
+error (non-convex support function, unbounded/degenerate polytope, or a
+weakly convex one where the command needs a triangulated support), 3
 amoeba commands on a fan whose lattice rank is not 2, 4 isomorphism
 mismatch from the verification pipeline, 5 internal error (any other
 exception, reported as "internal error in <command>: <type>: <message>").
@@ -32,41 +37,22 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .amoeba import PatchworkFamily, amoeba_sample_curve
-from .coordring import (
-    hilbert_function,
-    interior_counts,
-    section_ring,
-    serre_check,
-    verify_isomorphism,
-)
-from .floer import assemble_algebra
 from .lattice import (
+    DegenerateSupport,
+    EmptyWindow,
     Fan,
+    InvalidEps,
     LowerDimensional,
     MalformedFan,
     NotConvex,
+    NotTriangulation,
     Polytope,
     Unbounded,
     frac_str,
+    hilbert_function,
+    interior_counts,
     polytope_from_bundle,
     require_convex,
-)
-from .tropical import (
-    DegenerateSupport,
-    EmptyWindow,
-    HeightFunction,
-    InvalidEps,
-    NotTriangulation,
-    TropicalComplex,
-    certified_log_scale,
-    choose_scale,
-    complex_segments,
-    hausdorff_distance,
-    regular_subdivision,
-    tropical_constants,
 )
 
 EXIT_OK = 0
@@ -175,6 +161,8 @@ def _polytope_json(Q: Polytope) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_subdivide(config: JobConfig) -> int:
+    from .tropical import HeightFunction, regular_subdivision
+
     fan, phi = load_fan_json(config.input)
     kind = require_convex(fan, phi)
     h = HeightFunction.from_bundle(fan, phi)
@@ -199,7 +187,10 @@ def cmd_subdivide(config: JobConfig) -> int:
     return EXIT_OK
 
 
-def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
+def _complex_json(cx, config: JobConfig) -> dict:
+    """The tropical.json payload of the complex cx."""
+    from .tropical import certified_log_scale, choose_scale, tropical_constants
+
     consts = tropical_constants(cx)
     log_t_star = certified_log_scale(consts, config.eps)
     try:
@@ -248,6 +239,8 @@ def _complex_json(cx: TropicalComplex, config: JobConfig) -> dict:
 
 
 def cmd_tropical(config: JobConfig) -> int:
+    from .tropical import HeightFunction, TropicalComplex
+
     fan, phi = load_fan_json(config.input)
     require_convex(fan, phi)
     h = HeightFunction.from_bundle(fan, phi)
@@ -313,9 +306,11 @@ def _svg_overlay(path: str, window, segments, cloud, Q: Polytope | None) -> None
     _write_text(path, "\n".join(parts) + "\n")
 
 
-def _column_reprs(col: np.ndarray) -> list:
-    """repr of each float of col, the bytes f"{x!r}" writes, with repr called
-    once per distinct bit pattern: 0.0 and -0.0 stay apart."""
+def _column_reprs(col) -> list:
+    """repr of each float of the float array col, the bytes f"{x!r}" writes,
+    with repr called once per distinct bit pattern: 0.0 and -0.0 stay apart."""
+    import numpy as np
+
     keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
     strings = np.array([repr(x) for x in keys.view(float).tolist()], dtype=object)
     return strings[inverse].tolist()
@@ -328,6 +323,8 @@ def _histogram_range(lo: float, hi: float, bins: int) -> tuple:
     bins + 1 strictly increasing edges, because an ulp of lo is wider than a
     bin (|lo| beyond about 2^47), gets [lo, lo + max(1, |lo|)].
     """
+    import numpy as np
+
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
@@ -337,6 +334,18 @@ def _histogram_range(lo: float, hi: float, bins: int) -> tuple:
 
 
 def cmd_amoeba(config: JobConfig) -> int:
+    import numpy as np
+
+    from .amoeba import PatchworkFamily, amoeba_sample_curve
+    from .tropical import (
+        HeightFunction,
+        TropicalComplex,
+        choose_scale,
+        complex_segments,
+        hausdorff_distance,
+        tropical_constants,
+    )
+
     fan, phi = load_fan_json(config.input)
     if fan.n != 2:
         print(f"amoeba sampling needs a rank-2 fan, got rank {fan.n}", file=sys.stderr)
@@ -404,6 +413,9 @@ def cmd_amoeba(config: JobConfig) -> int:
 
 
 def cmd_verify(config: JobConfig) -> int:
+    from .coordring import section_ring, serre_check, verify_isomorphism
+    from .floer import assemble_algebra
+
     fan, phi = load_fan_json(config.input)
     Q = polytope_from_bundle(fan, phi)
     alg = assemble_algebra(Q, config.J)
@@ -511,11 +523,10 @@ def main(argv=None) -> int:
     try:
         os.makedirs(config.out, exist_ok=True)
         return _COMMANDS[config.command](config)
-    except (NotConvex, Unbounded, LowerDimensional) as e:
+    except (NotConvex, Unbounded, LowerDimensional, NotTriangulation) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (MalformedFan, InvalidEps, EmptyWindow, DegenerateSupport, NotTriangulation,
-            OSError) as e:
+    except (MalformedFan, InvalidEps, EmptyWindow, DegenerateSupport, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED
     except Exception as e:

@@ -10,8 +10,10 @@ sweep, with no `Fraction` in between: the ring bases are the integer points
 of jQ, and the image j*p of a Floer generator p is its numerator at the
 refinement j.  The product check reads the algebra's int64 tables directly:
 one gather and one broadcast sum of integer image points per (j, k) slice.
-The counts (Hilbert, interior, Serre) take the length of the public
-`Fraction` point lists.
+The counts take the length of the public `Fraction` point lists.  The
+Hilbert function and the interior counts live in `lattice`, so that the
+`hilbert` command runs without this module; both are imported back here,
+and the counting polynomial is fitted to the first.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .floer import GradedAlgebra, serre_dual_dimension
-from .lattice import (
+from .lattice import (  # noqa: F401  (interior_counts is re-exported)
     Polytope,
     _lattice_numerators,
+    hilbert_function,
+    interior_counts,
     interior_lattice_points,
-    lattice_points,
     solve_square,
 )
 
@@ -82,26 +85,6 @@ def section_ring(Q: Polytope, J: int) -> SectionRing:
         bases.append(tuple(_lattice_numerators(Q.dilate(j), 1, strict=False)))
     index_maps = tuple({m: i for i, m in enumerate(b)} for b in bases)
     return SectionRing(Q, J, tuple(bases), index_maps)
-
-
-def hilbert_function(Q: Polytope, j_max: int) -> list[int]:
-    """[|jQ cap Z^n|] for j = 0..j_max, by dilate-and-count."""
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    out = [1]
-    for j in range(1, j_max + 1):
-        out.append(len(lattice_points(Q.dilate(j))))
-    return out
-
-
-def interior_counts(Q: Polytope, j_max: int) -> list[int]:
-    """[|interior(jQ) cap Z^n|] for j = 0..j_max (0 at j=0 by convention)."""
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    out = [0]
-    for j in range(1, j_max + 1):
-        out.append(len(interior_lattice_points(Q.dilate(j))))
-    return out
 
 
 def ehrhart_polynomial(Q: Polytope) -> tuple[Fraction, ...]:

@@ -14,7 +14,10 @@ each column of the box its interval of last coordinates by floor division.
 Two readers sit on it: the public `lattice_points` and
 `interior_lattice_points` return `Fraction` points, and the private
 `_lattice_numerators` returns the integer numerators k of the points k/d,
-which the Floer ladder, the ring bases and the isomorphism check read.
+which the Floer ladder, the ring bases and the isomorphism check read.  The
+dilate-and-count values behind `hilbert` (`hilbert_function`,
+`interior_counts`) are the lengths of the public point lists of the dilates
+jQ, so that command needs no module beyond this one.
 """
 
 from __future__ import annotations
@@ -41,6 +44,25 @@ class Unbounded(ValueError):
 
 class LowerDimensional(ValueError):
     """Operation needs a full-dimensional polytope but got a degenerate one."""
+
+
+# The tropical and amoeba layers raise these; they live here so that the CLI
+# maps every exception to its exit code without importing those layers.
+
+class DegenerateSupport(ValueError):
+    """The support points do not affinely span R^n."""
+
+
+class NotTriangulation(ValueError):
+    """An operation requiring simplicial cells met a bigger cell."""
+
+
+class InvalidEps(ValueError):
+    """Scale selection called with a non-positive (or senseless) epsilon."""
+
+
+class EmptyWindow(ValueError):
+    """Hausdorff comparison window contains no data on one side."""
 
 
 Vec = tuple[Fraction, ...]
@@ -413,6 +435,26 @@ def lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
 def interior_lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
     """Strictly interior points of the (1/d)-lattice; needs full dimension."""
     return _fraction_points(poly, d, strict=True)
+
+
+def hilbert_function(Q: Polytope, j_max: int) -> list[int]:
+    """[|jQ cap Z^n|] for j = 0..j_max, by dilate-and-count."""
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
+    out = [1]
+    for j in range(1, j_max + 1):
+        out.append(len(lattice_points(Q.dilate(j))))
+    return out
+
+
+def interior_counts(Q: Polytope, j_max: int) -> list[int]:
+    """[|interior(jQ) cap Z^n|] for j = 0..j_max (0 at j=0 by convention)."""
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
+    out = [0]
+    for j in range(1, j_max + 1):
+        out.append(len(interior_lattice_points(Q.dilate(j))))
+    return out
 
 
 class _FractionCache(dict):

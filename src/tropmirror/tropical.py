@@ -28,7 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import (
+    DegenerateSupport,
+    EmptyWindow,
     Fan,
+    InvalidEps,
+    NotTriangulation,
     Polytope,
     Vec,
     _exact_int,
@@ -42,22 +46,6 @@ from .lattice import (
     solve_square,
     vec,
 )
-
-
-class DegenerateSupport(ValueError):
-    """The support points do not affinely span R^n."""
-
-
-class NotTriangulation(ValueError):
-    """An operation requiring simplicial cells met a bigger cell."""
-
-
-class InvalidEps(ValueError):
-    """Scale selection called with a non-positive (or senseless) epsilon."""
-
-
-class EmptyWindow(ValueError):
-    """Hausdorff comparison window contains no data on one side."""
 
 
 # ---------------------------------------------------------------------------

@@ -121,13 +121,11 @@ def test_malformed_inputs_exit1(tmp_path):
 
 def test_input_errors_are_not_internal_errors(tmp_path, capsys):
     out = str(tmp_path / "out")
-    flat = dict(P1XP1, phi=["0", "0", "0", "0"])  # one square cell, no triangulation
     for command, broken in (
         ("subdivide", {"rays": 5, "max_cones": [[0]], "phi": ["1"]}),  # not a list
         ("subdivide", {"rays": [["x", 0]], "max_cones": [[0]], "phi": ["1"]}),
         ("subdivide", {"rays": [[1, 0]], "max_cones": [[0]], "phi": ["1/0"]}),
         ("tropical", {"rays": [[1, 0], [-1, 0]], "max_cones": [[0], [1]], "phi": ["1", "1"]}),
-        ("tropical", flat),
         ("tropical", dict(P2, max_cones=[[0], [1], [2]])),  # cones of one ray
         ("amoeba", dict(P2, max_cones=[[0, 1]])),  # ray 2 lies in no cone
     ):
@@ -152,13 +150,33 @@ def test_nonconvex_exit2_in_every_command(tmp_path, capsys):
         assert "cone pair" in capsys.readouterr().err
 
 
+def test_weakly_convex_phi_exit2(tmp_path, capsys):
+    # phi = 0 is convex but not strictly: the lift is flat, so the support
+    # has one cell and no triangulation.  The commands that need the
+    # constants refuse it as a domain error, not as malformed input; an
+    # amoeba job with an explicit --t needs no constants and runs
+    out = str(tmp_path / "out")
+    for payload in (dict(P2, phi=["0", "0", "0"]), dict(P1XP1, phi=["0", "0", "0", "0"])):
+        fan = write_fan(tmp_path, payload)
+        assert main(["tropical", "--input", fan, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "triangulated supports" in err and "internal error" not in err
+    fan = write_fan(tmp_path, dict(P2, phi=["0", "0", "0"]))
+    assert main(["amoeba", "--input", fan, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "triangulated supports" in err and "internal error" not in err
+    assert main(["amoeba", "--input", fan, "--out", out, "--t", "2980.96", "--grid", "6"]) == 0
+
+
 def test_internal_error_exit5(tmp_path, monkeypatch, capsys):
+    from tropmirror import coordring
+
     fan = write_fan(tmp_path, P2)
 
     def broken_stage(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr(cli, "section_ring", broken_stage)
+    monkeypatch.setattr(coordring, "section_ring", broken_stage)
     assert main(["verify", "--input", fan, "--J", "1", "--out", str(tmp_path / "o")]) == 5
     err = capsys.readouterr().err
     assert "internal error in verify: TypeError: injected" in err
@@ -297,7 +315,7 @@ def test_one_complex_per_run(tmp_path, monkeypatch):
     from tropmirror.tropical import TropicalComplex
 
     calls = {"builds": 0, "constants": 0, "segments": 0}
-    build, constants = TropicalComplex.__init__, cli.tropical_constants
+    build, constants = TropicalComplex.__init__, tropical.tropical_constants
     segments = tropical.complex_segments
 
     def counted_build(self, *args, **kwargs):
@@ -313,9 +331,8 @@ def test_one_complex_per_run(tmp_path, monkeypatch):
         return segments(*args, **kwargs)
 
     monkeypatch.setattr(TropicalComplex, "__init__", counted_build)
-    monkeypatch.setattr(cli, "tropical_constants", counted_constants)
-    for module in (cli, tropical):
-        monkeypatch.setattr(module, "complex_segments", counted_segments)
+    monkeypatch.setattr(tropical, "tropical_constants", counted_constants)
+    monkeypatch.setattr(tropical, "complex_segments", counted_segments)
     fan = write_fan(tmp_path, P2)
     assert main(["tropical", "--input", fan, "--out", str(tmp_path / "t")]) == 0
     assert calls == {"builds": 1, "constants": 1, "segments": 0}
@@ -382,6 +399,7 @@ def test_verify_passes_in_rank_four(tmp_path, payload, dims):
 
 
 def test_verify_mismatch_exit4(tmp_path, monkeypatch):
+    from tropmirror import coordring
     from tropmirror.coordring import IsomorphismReport
 
     fan = write_fan(tmp_path, P1)
@@ -391,7 +409,7 @@ def test_verify_mismatch_exit4(tmp_path, monkeypatch):
         products_checked=7,
         mismatches=((("degree", 1), ("reason", "injected")),),
     )
-    monkeypatch.setattr(cli, "verify_isomorphism", lambda alg, ring: fake)
+    monkeypatch.setattr(coordring, "verify_isomorphism", lambda alg, ring: fake)
     assert main(["verify", "--input", fan, "--J", "1", "--out", str(out)]) == 4
     data = json.loads((out / "verify.json").read_text())
     assert data["verdict"] == "fail"
@@ -557,13 +575,15 @@ def oracle_svg_overlay(window, segments, cloud, Q):
 def test_amoeba_files_match_per_row_oracles(tmp_path, monkeypatch, args):
     # the column-wise writers give the bytes of the per-row ones, and the
     # reported margins are those symplectic_margin computes at the cloud
+    from tropmirror import amoeba
+
     sampled = []
 
     def recorded(F, *grids):
         sampled.append((F, amoeba_sample_curve(F, *grids)))
         return sampled[-1][1]
 
-    monkeypatch.setattr(cli, "amoeba_sample_curve", recorded)
+    monkeypatch.setattr(amoeba, "amoeba_sample_curve", recorded)
     fan = write_fan(tmp_path, P2)
     out = tmp_path / "out"
     assert main(["amoeba", "--input", fan, "--out", str(out)] + args) == 0
@@ -743,6 +763,40 @@ def test_amoeba_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "exit 0 scipy loaded: []"
     assert (tmp_path / "out" / "hausdorff.json").exists()
+
+
+LOADED_MODULES = """
+import sys
+from tropmirror.cli import main
+
+def loaded():
+    heavy = ["numpy"] + [f"tropmirror.{m}" for m in ("tropical", "amoeba", "floer", "coordring")]
+    return sorted(m for m in heavy if m in sys.modules)
+
+print("loaded after import:", loaded())
+code = main(["hilbert", "--input", sys.argv[1], "--out", sys.argv[2], "--J", "4"])
+print("loaded after hilbert", code, loaded())
+code = main(["verify", "--input", sys.argv[1], "--out", sys.argv[2], "--J", "2"])
+print("loaded after verify", code, loaded())
+"""
+
+
+def test_cli_loads_each_command_s_modules_when_it_runs(tmp_path):
+    # importing the CLI loads the lattice layer alone, so hilbert runs
+    # without numpy and the numeric layers; verify loads what it needs
+    fan = write_fan(tmp_path, P2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, fan, str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("loaded")] == [
+        "loaded after import: []",
+        "loaded after hilbert 0 []",
+        "loaded after verify 0 ['numpy', 'tropmirror.coordring', 'tropmirror.floer']",
+    ]
 
 
 def test_module_invocation_help():

@@ -91,6 +91,9 @@ for fan in p4 p2-flat p1xp1-tied; do
     run "tropical-$fan" "$fan" tropical
 done
 
+# the flat lift has no certified scale: amoeba without --t is a domain error
+run amoeba-p2-flat p2-flat amoeba
+
 # the amoeba jobs of the benchmark (bench/workloads.py)
 run amoeba-p2-e8-s0-g120 p2 amoeba --t "$T_E8" --s 0 --grid 120
 run amoeba-p2-certified p2 amoeba
