@@ -124,6 +124,8 @@ class LaurentPolynomial:
             raise ValueError("exponent vectors must be distinct")
         if not exps:
             raise ValueError("empty polynomial")
+        if any(len(a) != len(exps[0]) for a in exps):
+            raise ValueError("exponent vectors have different lengths")
 
     @property
     def n(self) -> int:
@@ -600,12 +602,7 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     ok, mstar, final = _newton_continuation(F, 1 - axis, u, theta, z)
     uf = u[k, 1 - axis]
     inside = ok & (windows[1 - axis, 0] <= uf) & (uf <= windows[1 - axis, 1])
-    mstar, val, dh, dbh = _rows((mstar,) + final, inside)
-    scale = _exp(mstar)
-    with np.errstate(invalid="ignore"):  # e^{mstar} = inf times 0 is non-finite: dropped
-        residuals = scale * np.hypot(val.real, val.imag)
-    good = np.isfinite(residuals) & (residuals < 1e-8)
-    margins = scale[good] * (_norm(dh[good]) - _norm(dbh[good]))
+    residuals, good, margins = _on_zero_locus(*_rows((mstar,) + final, inside))
     dropped = {reason: int(np.count_nonzero(mask)) for reason, mask in (
         ("non_finite", ~found), ("newton", ~ok), ("window", ok & ~inside), ("residual", ~good))}
     return SampleResult(u[inside][good], theta[inside][good], residuals[good], margins,
@@ -630,13 +627,26 @@ def symplectic_margin(F: PatchworkFamily, z):
     else:
         u, theta = (np.asarray(w, dtype=float) for w in z)
     mstar, val, dh, dbh = F.eval_scaled(u, theta)
-    scale = _exp(mstar)
-    with np.errstate(invalid="ignore"):  # inf times 0 is a nan residual: refused
-        residual = np.ravel(scale * np.hypot(val.real, val.imag))
-    off = residual[~(residual < 1e-8)]
+    residual, good, margins = _on_zero_locus(mstar, val, dh, dbh)
+    off = residual[~good]
     if len(off):
         raise NotOnZeroLocus(f"residual {float(off[0])!r} exceeds 1e-8")
-    return (scale * (_norm(dh) - _norm(dbh)))[()]
+    return margins.reshape(np.shape(mstar))[()]
+
+
+def _on_zero_locus(mstar, val, dh, dbh):
+    """The residual gate and the margins of one evaluation (scaled values
+    val, dh, dbh at points of scale exponent mstar, as eval_scaled gives
+    them): the absolute residual |f| = e^{mstar} |f_hat| at each point, the
+    mask of the points where it is below 1e-8, and the margins
+    e^{mstar} (|d_hat f| - |dbar_hat f|) at those points, flattened in
+    mask order.  Where e^{mstar} overflows, |f| is infinite or nan and the
+    point fails the gate."""
+    scale = _exp(mstar)
+    with np.errstate(invalid="ignore"):  # e^{mstar} = inf times 0 is non-finite: refused
+        residuals = scale * np.hypot(val.real, val.imag)
+        good = residuals < 1e-8
+    return residuals, good, scale[good] * (_norm(dh[good]) - _norm(dbh[good]))
 
 
 # ---------------------------------------------------------------------------

@@ -503,18 +503,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits on --help (0) and bad usage (2)
         return EXIT_OK if e.code == 0 else EXIT_MALFORMED
-    config = JobConfig(
-        command=args.command,
-        input=args.input,
-        out=args.out,
-        t=args.t,
-        s=args.s,
-        eps=args.eps,
-        J=args.J,
-        grid=args.grid,
-        window=tuple(args.window),
-        seed=args.seed,
-    )
+    config = JobConfig(**vars(args))
     try:
         config.validate()
     except ValueError as e:

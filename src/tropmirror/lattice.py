@@ -6,11 +6,13 @@ the geometry (vertices, halfspace bounds, determinants) is in
 algorithm is one algorithm for every dimension n >= 1: the convex hull, the
 vertex enumeration with its recession test, and the fan completeness test
 are exact for every n (their docstrings give the proofs), at a cost that
-grows with the number of n-subsets of their input.  The hull is also the
-one hull of the tropical layer: the regular subdivision of a height
-function is the lower hull of its lifted support.  Lattice
-points come from one integer column sweep, `_lattice_columns`, that gives
-each column of the box its interval of last coordinates by floor division.
+grows with the number of n-subsets of their input.  The hull is one facet
+pass, `hull_facets`, that records which points lie on each facet: the
+vertices are read from those index sets, and so are the cells and faces of
+the tropical layer's regular subdivision, the lower hull of a height
+function's lifted support.  Lattice points come from one integer column
+sweep, `_lattice_columns`, that gives each column of the box its interval
+of last coordinates by floor division.
 Two readers sit on it: the public `lattice_points` and
 `interior_lattice_points` return `Fraction` points, and the private
 `_lattice_numerators` returns the integer numerators k of the points k/d,
@@ -320,103 +322,95 @@ def _recession_nontrivial(rows: list[Vec], n: int) -> bool:
 def hull(points: Sequence[Sequence]) -> Polytope:
     """Exact convex hull in every dimension.
 
-    Each facet of a full-dimensional hull in R^n holds n affinely
-    independent input points, so the hyperplanes through n-subsets with
-    every point on one side are exactly the facets; a point is a vertex iff
-    the normals of its tight facets have rank n.  Lower-dimensional input
-    is not an error: its hull is taken in coordinates on its affine hull,
-    and the result keeps that affine hull as equality pairs in the
-    H-representation and is flagged via `degenerate` (vertices are still
-    the true extreme points).
+    The facets and the points on each come from one `hull_facets` pass.  A
+    point is a vertex iff the facets through it meet in that point alone:
+    every face of a polytope is the intersection of the facets containing
+    it, a vertex is the face {p}, and a point that is no vertex lies in the
+    relative interior of a face of dimension at least 1, whose vertices (at
+    least two input points) lie on every facet through it.  Lower-dimensional
+    input is not an error: the result keeps its affine hull as equality
+    pairs in the H-representation and is flagged via `degenerate`.
     """
     pts = sorted(set(vec(p) for p in points))
     if not pts:
         raise ValueError("hull of an empty point set")
     n = len(pts[0])
-    d = affine_dim(pts)
-    if d == 0:
-        hs = []
-        p = pts[0]
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            hs.append((e, p[i]))
-            hs.append((tuple(-x for x in e), -p[i]))
-        return Polytope(n, (p,), tuple(sorted(hs)), 0)
-    if d < n:
-        return _hull_degenerate(pts, n, d)
-    return _hull_fulldim(pts, n)
+    if any(len(p) != n for p in pts):
+        raise ValueError("hull points have different lengths")
+    facets = hull_facets(pts)
+    everyone = frozenset(range(len(pts)))
+    verts = tuple(p for i, p in enumerate(pts)
+                  if everyone.intersection(*(on for _, on in facets if i in on)) == {i})
+    return Polytope(n, verts, tuple(row for row, _ in facets), affine_dim(pts))
 
 
-def _hull_fulldim(pts: list[Vec], n: int) -> Polytope:
-    facets: set[tuple[tuple[int, ...], Fraction]] = set()
-    for idx in itertools.combinations(range(len(pts)), n):
-        base = pts[idx[0]]
-        diffs = [tuple(a - b for a, b in zip(pts[i], base)) for i in idx[1:]]
-        ns = nullspace(diffs, n)
-        if len(ns) != 1:
-            continue  # affinely dependent subset
-        a = ns[0]
-        b = dot(a, base)
-        vals = [dot(a, p) - b for p in pts]
-        if all(v <= 0 for v in vals):
-            facets.add(primitive_row(a, b))
-        elif all(v >= 0 for v in vals):
-            facets.add(primitive_row(tuple(-x for x in a), -b))
-    verts = []
-    for p in pts:
-        tight = [a for a, b in facets if dot(a, p) == b]
-        if mat_rank(tight) == n:
-            verts.append(p)
-    return Polytope(n, tuple(verts), tuple(sorted(facets)), n)
+def hull_facets(
+    points: Sequence[Sequence],
+) -> list[tuple[tuple[tuple[int, ...], Fraction], frozenset]]:
+    """Each facet of the convex hull of the rational points, once, as its row
+    <a, y> <= b with a primitive (primitive_row) and the frozenset of the
+    indices of the points on it; sorted by row.
 
-
-def _hull_degenerate(pts: list[Vec], n: int, d: int) -> Polytope:
-    """Hull of points spanning a d < n dimensional affine subspace."""
-    p0 = pts[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-    # pick d independent direction rows
-    basis: list[Vec] = []
-    for df in diffs:
-        if mat_rank(basis + [df]) > len(basis):
-            basis.append(df)
-        if len(basis) == d:
-            break
-    # coordinates within the affine hull: choose d columns where basis is invertible
-    for cols in itertools.combinations(range(n), d):
-        sq = [[row[c] for c in cols] for row in basis]
-        if mat_det(sq) != 0:
-            break
-    else:  # pragma: no cover - cannot happen if rank is d
-        raise ValueError("no invertible coordinate projection found")
-
-    def coords(p: Vec) -> Vec:
-        rhs = [p[c] - p0[c] for c in cols]
-        return solve_square([[basis[j][c] for j in range(d)] for c in cols], rhs)
-
-    inner = hull([coords(p) for p in pts])
-    lift = {coords(p): p for p in pts}
-    verts = tuple(lift[v] for v in inner.vertices)
-
-    hs: list[tuple[tuple[int, ...], Fraction]] = []
-    # affine-hull equalities: normals orthogonal to every direction
+    Points spanning R^n: each facet holds n affinely independent points, so
+    the hyperplanes through n-subsets with every point on one side are
+    exactly the facets.  An n-subset that lies in a facet already found
+    spans that facet again and is skipped.  Points spanning an affine
+    subspace V of dimension d < n: the facets are those of the points'
+    coordinates in a chart of V, pulled back, and V itself as pairs of
+    opposite rows that hold every point.  The chart keeps the points in
+    order, so the chart's index sets are the input's.  At d = 0 the chart
+    has no coordinate and no facet, and V's rows are the unit vectors.
+    """
+    n = len(points[0])
+    p0 = points[0]
+    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
+    # the first independent differences: the pivots of the matrix they are the columns of
+    basis = [diffs[j] for j in _rref(list(zip(*diffs)), len(diffs))[1]]
+    d = len(basis)
+    if d == n:
+        found: dict[tuple[tuple[int, ...], Fraction], frozenset] = {}
+        for idx in itertools.combinations(range(len(points)), n):
+            if any(on.issuperset(idx) for on in found.values()):
+                continue  # spans a facet already found
+            ns = nullspace([tuple(x - y for x, y in zip(points[i], points[idx[0]]))
+                            for i in idx[1:]], n)
+            if len(ns) != 1:
+                continue  # affinely dependent subset; at n = 0 no subset has a facet
+            a = ns[0]
+            b = dot(a, points[idx[0]])
+            vals, lo, hi = [], 0, 0
+            for p in points:  # until points lie on both sides
+                vals.append(dot(a, p) - b)
+                lo, hi = min(lo, vals[-1]), max(hi, vals[-1])
+                if lo < 0 < hi:
+                    break
+            else:
+                row = primitive_row(a, b) if hi == 0 else primitive_row([-x for x in a], -b)
+                found[row] = frozenset(i for i, v in enumerate(vals) if v == 0)
+        return sorted(found.items())
+    # chart: the basis is invertible on its d pivot columns, and one
+    # elimination of those columns, augmented by every (p - p0)|cols, gives
+    # the coordinates lam of each p = p0 + sum lam_j basis_j
+    cols = _rref(basis, n)[1]
+    sq = [[row[c] for c in cols] for row in basis]
+    red = _rref([[basis[j][c] for j in range(d)] + [p[c] - p0[c] for p in points]
+                 for c in cols], d)[0]
+    chart = [tuple(r[d + i] for r in red) for i in range(len(points))]
+    everyone = frozenset(range(len(points)))
+    facets = []
     for a in nullspace(basis, n):
         pa = primitive(a)
         b = dot(pa, p0)
-        hs.append((pa, b))
-        hs.append((tuple(-x for x in pa), -b))
-    # facet inequalities pulled back through the coordinate chart: with
-    # lam = M^{-1} (p - p0)|cols, the inner facet <c, lam> <= b reads
-    # <y, (p - p0)|cols> <= b where y solves M^T y = c, and M^T is sq
-    for c_in, b_in in inner.halfspaces:
-        y = solve_square(sq, c_in)
+        facets += [((pa, b), everyone), ((tuple(-x for x in pa), -b), everyone)]
+    # lam = M^{-1} (p - p0)|cols with M = sq^T, so a chart facet
+    # <c, lam> <= b reads <y, (p - p0)|cols> <= b where sq y = c
+    for (c, b), on in hull_facets(chart):
+        y = solve_square(sq, c)
         amb = [Fraction(0)] * n
-        for j in range(d):
-            amb[cols[j]] = y[j]
-        a_t = tuple(amb)
-        if all(x == 0 for x in a_t):
-            continue
-        hs.append(primitive_row(a_t, _frac(b_in) + dot(a_t, p0)))
-    return Polytope(n, verts, tuple(sorted(set(hs))), d)
+        for j, col in enumerate(cols):
+            amb[col] = y[j]
+        facets.append((primitive_row(amb, b + dot(amb, p0)), on))
+    return sorted(facets)
 
 
 # ---------------------------------------------------------------------------

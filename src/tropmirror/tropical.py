@@ -3,8 +3,9 @@
 The combinatorial half of this module (lower-hull subdivision, Legendre
 transform, faces and complement components of the tropical hypersurface) is
 exact over Q: the subdivision is the lower hull of the lifted support, read
-from one exact `lattice.hull` of the points (alpha, nu(alpha)), whose facets
-also give every face of every cell, and no epsilon ever enters.  So is the
+from one exact `lattice.hull_facets` pass over the points (alpha, nu(alpha)),
+whose facets, with the points on each, also give every face of every cell,
+and no epsilon ever enters.  So is the
 separation constant behind the certified scale: its square is rational, and
 only its square root is taken in floats.
 The rest of the quantitative half (distortion constants, the patchworking
@@ -38,7 +39,7 @@ from .lattice import (
     _exact_int,
     affine_dim,
     dot,
-    hull,
+    hull_facets,
     mat_det,
     mat_rank,
     primitive_row,
@@ -70,6 +71,8 @@ class HeightFunction:
             raise ValueError("support points must be distinct")
         if not pts:
             raise ValueError("empty support")
+        if any(len(p) != len(pts[0]) for p in pts):
+            raise ValueError("support points have different lengths")
 
     @property
     def n(self) -> int:
@@ -125,29 +128,25 @@ class CoherentSubdivision:
 def regular_subdivision(h: HeightFunction) -> CoherentSubdivision:
     """Lower-hull subdivision of the lifted points {(alpha, nu(alpha))}.
 
-    One exact hull of the lift gives it: the cells are the facets
-    <a, y> <= b with a[-1] < 0, each the graph over its cell of
+    One `hull_facets` pass over the lift gives it, with the index set of
+    the points on each facet: the cells are the facets <a, y> <= b with
+    a[-1] < 0, each the graph over its cell of
     g(x) = <-a[:-1]/a[-1], x> + b/a[-1], which equals nu on the facet's
     tie set and lies strictly below nu off it, so ties stay as bigger
-    (non-simplicial) cells.  A flat lift spans only a hyperplane: hull
-    keeps it as a pair of opposite rows, the one with a[-1] < 0 is the
-    single cell, and the pulled-back facets are vertical.
+    (non-simplicial) cells.  A flat lift spans only a hyperplane: it is
+    kept as a pair of opposite rows, the one with a[-1] < 0 is the single
+    cell, and the pulled-back facets are vertical.
     """
     n = h.n
     A = h.points
     if affine_dim(A) < n:
         raise DegenerateSupport("support points do not span R^n affinely")
-    lift = [p + (v,) for p, v in zip(A, h.values)]
-    cells, facets = [], []
-    for a, b in hull(lift).halfspaces:
-        tie = tuple(i for i, y in enumerate(lift) if dot(a, y) == b)
-        facets.append(frozenset(tie))
-        if a[-1] < 0:
-            cells.append(Cell(tie, tuple(Fraction(-x, a[-1]) for x in a[:-1]), b / a[-1]))
-    cells.sort(key=lambda c: c.indices)
+    facets = hull_facets([p + (v,) for p, v in zip(A, h.values)])
+    cells = sorted((Cell(tuple(sorted(on)), tuple(Fraction(-x, a[-1]) for x in a[:-1]), b / a[-1])
+                    for (a, b), on in facets if a[-1] < 0), key=lambda c: c.indices)
     is_tri = all(len(c.indices) == n + 1 for c in cells)
     is_max = is_tri and all(_unimodular(c, A, n) for c in cells)
-    return CoherentSubdivision(h, tuple(cells), is_tri, is_max, tuple(facets))
+    return CoherentSubdivision(h, tuple(cells), is_tri, is_max, tuple(on for _, on in facets))
 
 
 def _unimodular(cell: Cell, A, n: int) -> bool:
@@ -265,27 +264,19 @@ class TropicalComplex:
             for f in proper:
                 face_dims[f] = affine_dim([A[i] for i in f])
 
+        # the row <A_j - A_i, u> <= nu_j - nu_i of every ordered pair, made
+        # primitive once: C_i is cut out by the rows from i, and a face dual
+        # to S by the rows from min(S), as equalities inside S
+        row = {(i, j): primitive_row(tuple(x - y for x, y in zip(A[j], A[i])), nu[j] - nu[i])
+               for i in range(len(A)) for j in range(len(A)) if j != i}
         faces = []
         for S, m in face_dims.items():
             if m < 1:
                 continue  # dual would be a full-dimensional component, not a face
             idx = tuple(sorted(S))
-            base = idx[0]
-            eqs = []
-            for other in idx[1:]:
-                diff = tuple(A[other][k] - A[base][k] for k in range(n))
-                rhs = nu[other] - nu[base]
-                eqs.append(primitive_row(diff, rhs))
-            ineqs = []
-            for g in range(len(A)):
-                if g in S:
-                    continue
-                diff = tuple(A[g][k] - A[base][k] for k in range(n))
-                rhs = nu[g] - nu[base]
-                ineqs.append(primitive_row(diff, rhs))
-            faces.append(
-                TropicalFace(n - m, idx, tuple(sorted(set(eqs))), tuple(sorted(set(ineqs))))
-            )
+            eqs = {row[idx[0], j] for j in idx[1:]}
+            ineqs = {row[idx[0], j] for j in range(len(A)) if j not in S}
+            faces.append(TropicalFace(n - m, idx, tuple(sorted(eqs)), tuple(sorted(ineqs))))
         faces.sort(key=lambda f: (f.dim, f.dual_indices))
         self.faces: tuple[TropicalFace, ...] = tuple(faces)
 
@@ -294,16 +285,9 @@ class TropicalComplex:
             active.update(cell.indices)
         comps = []
         for i in range(len(A)):
-            normals, bounds = [], []
-            for j in range(len(A)):
-                if j == i:
-                    continue
-                diff = tuple(A[j][k] - A[i][k] for k in range(n))
-                rhs = nu[j] - nu[i]
-                normals_j, rhs_j = primitive_row(diff, rhs)
-                normals.append(normals_j)
-                bounds.append(rhs_j)
-            comps.append(Component(i, A[i], tuple(normals), tuple(bounds), i in active))
+            rows = [row[i, j] for j in range(len(A)) if j != i]
+            comps.append(Component(i, A[i], tuple(a for a, _ in rows), tuple(b for _, b in rows),
+                                   i in active))
         self.components: tuple[Component, ...] = tuple(comps)
 
     @property

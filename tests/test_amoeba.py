@@ -259,6 +259,11 @@ def test_laurent_polynomial_rejects_non_integer_exponents():
             LaurentPolynomial((((bad, 0), 1.0), ((0, 1), 2.0)))
 
 
+def test_laurent_polynomial_rejects_exponents_of_different_lengths():
+    with pytest.raises(ValueError, match="different lengths"):
+        LaurentPolynomial((((0, 0), 1.0), ((1, 0), 1.0), ((0, 1, 2), 1.0)))
+
+
 def test_mirror_potential_fixtures():
     W = mirror_potential(P2_FAN)
     terms = dict(W.terms)

@@ -26,13 +26,18 @@ from tropmirror.lattice import (
     Polytope,
     Unbounded,
     _lattice_numerators,
+    affine_dim,
+    dot,
     hull,
+    hull_facets,
     interior_lattice_points,
     is_smooth,
     lattice_points,
+    mat_rank,
     polytope_from_bundle,
     solve_square,
     support_convexity,
+    vec,
 )
 
 F = Fraction
@@ -476,6 +481,72 @@ def test_hull_in_four_and_five_dimensions():
         assert (tuple(-x for x in e), 0) in square.halfspaces
     assert square.contains((F(1, 2), F(1, 2), 0, 0))
     assert not square.contains((F(1, 2), F(1, 2), 0, F(1, 100)))
+
+
+def oracle_facet_sets(pts):
+    """Index sets of the points on each facet of a full-dimensional hull in
+    R^n, n >= 1, by brute force: every n-subset whose cofactor normal is
+    nonzero and leaves every point on one side spans a facet."""
+    n = len(pts[0])
+    out = set()
+    for idx in itertools.combinations(range(len(pts)), n):
+        rows = [[x - y for x, y in zip(pts[i], pts[idx[0]])] for i in idx[1:]]
+        a = [(-1) ** j * oracle_det([r[:j] + r[j + 1:] for r in rows]) for j in range(n)]
+        if not any(a):
+            continue
+        vals = [sum(map(mul, a, p)) - sum(map(mul, a, pts[idx[0]])) for p in pts]
+        if all(v <= 0 for v in vals) or all(v >= 0 for v in vals):
+            out.add(frozenset(i for i, v in enumerate(vals) if v == 0))
+    return out
+
+
+@st.composite
+def hull_inputs(draw):
+    """Points in R^n, n = 1..4, on an affine subspace of random dimension
+    (often lower than n), with repeats and with midpoints, which fall inside
+    edges, facets or the hull."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    coord = st.integers(-2, 2)
+    p0 = draw(st.tuples(*[coord] * n))
+    dirs = draw(st.lists(st.tuples(*[coord] * n), min_size=k, max_size=k))
+    lams = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=7))
+    pts = [tuple(p0[i] + sum(lam[j] * dirs[j][i] for j in range(k)) for i in range(n))
+           for lam in lams]
+    pairs = draw(st.lists(st.tuples(*[st.integers(0, len(pts) - 1)] * 2), max_size=3))
+    return pts + [tuple(F(x + y, 2) for x, y in zip(pts[i], pts[j])) for i, j in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hull_inputs())
+@example([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+          (F(1, 2), F(1, 2), 0, 0), (0, 0, 0, 0)])  # a point inside a facet, and a repeat
+@example([(1, 2, 3)] * 3)  # one point in R^3
+def test_hull_matches_the_rank_and_dot_product_oracles(points):
+    pts = sorted(set(vec(p) for p in points))
+    n, d = len(pts[0]), affine_dim(pts)
+    facets = hull_facets(pts)
+    h = hull(points)
+    assert h.halfspaces == tuple(row for row, _ in facets) and h.dim == d
+    # each index set is the set of points on its row, every point is on the
+    # inner side, and each row is a facet (dimension d - 1) or one of the
+    # 2(n - d) rows of the affine hull, which hold every point
+    for (a, b), on in facets:
+        assert on == {i for i, p in enumerate(pts) if dot(a, p) == b}
+        assert all(dot(a, p) <= b for p in pts)
+        assert affine_dim([pts[i] for i in on]) == (d if len(on) == len(pts) else d - 1)
+    assert sum(len(on) == len(pts) for _, on in facets) == 2 * (n - d)
+    if d == n:
+        assert {on for _, on in facets} == oracle_facet_sets(pts)
+    # a point is a vertex iff the normals of the rows tight at it have rank n
+    assert h.vertices == tuple(
+        p for p in pts if mat_rank([a for a, b in h.halfspaces if dot(a, p) == b]) == n)
+
+
+def test_hull_rejects_points_of_different_lengths():
+    # zip would cut (0, 1, 7) short, and the hull had a vertex of length 3
+    with pytest.raises(ValueError, match="different lengths"):
+        hull([(0, 0), (1, 0), (0, 1, 7)])
 
 
 def test_from_halfspaces_in_four_and_five_dimensions():

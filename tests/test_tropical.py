@@ -23,7 +23,15 @@ from hypothesis import strategies as st
 
 import tropmirror
 from tropmirror import tropical
-from tropmirror.lattice import Fan, NotConvex, affine_dim, dot, hull, polytope_from_bundle
+from tropmirror.lattice import (
+    Fan,
+    NotConvex,
+    affine_dim,
+    dot,
+    hull,
+    hull_facets,
+    polytope_from_bundle,
+)
 from tropmirror.tropical import (
     Cell,
     DegenerateSupport,
@@ -167,6 +175,13 @@ def test_height_function_rejects_non_integer_points():
     for bad in (1.5, "1"):
         with pytest.raises(ValueError, match="not an integer"):
             HeightFunction(((0, 0), (bad, 0), (0, 1)), (0, 0, 0))
+
+
+def test_height_function_rejects_points_of_different_lengths():
+    # zip would cut (0, 1, 5) short, and the subdivision had a cell with
+    # gradient (-6, 5)
+    with pytest.raises(ValueError, match="different lengths"):
+        HeightFunction(((0, 0), (1, 0), (0, 1, 5), (-1, -1)), (0, 1, 1, 1))
 
 
 def test_degenerate_support_raises():
@@ -415,14 +430,14 @@ def test_cube_cell_faces():
     "height", [p2_height(), HeightFunction(((0, 0), (1, 0), (0, 1)), (0, 0, 0))],
     ids=["p2", "flat"])
 def test_one_hull_per_complex(monkeypatch, height):
-    # the subdivision and every face of it come from one hull of the lift
+    # the subdivision and every face of it come from one facet pass over the lift
     calls = []
 
-    def counting_hull(points):
+    def counting_hull_facets(points):
         calls.append(points)
-        return hull(points)
+        return hull_facets(points)
 
-    monkeypatch.setattr(tropical, "hull", counting_hull)
+    monkeypatch.setattr(tropical, "hull_facets", counting_hull_facets)
     TropicalComplex(height)
     assert len(calls) == 1
 

@@ -63,6 +63,15 @@ cat > "$OUT/fans/p1xp1-tied.json" <<'EOF'
 {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]], "phi": ["1", "0", "1", "0"]}
 EOF
 
+# the cube fan of (P^1)^3: all of Pi (46 faces), and a tie that leaves two
+# square pyramids whose shared facet holds the origin, which is no vertex
+cat > "$OUT/fans/p1xp1xp1.json" <<'EOF'
+{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], "max_cones": [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]], "phi": ["1", "1", "1", "1", "1", "1"]}
+EOF
+cat > "$OUT/fans/p1xp1xp1-tied.json" <<'EOF'
+{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], "max_cones": [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]], "phi": ["1", "0", "0", "1", "0", "0"]}
+EOF
+
 T_E8=2980.9579870417283  # repr(math.exp(8.0)): log t = 8
 
 # run CASE FAN SUBCOMMAND [FLAGS...]
@@ -90,6 +99,9 @@ for fan in p4 p2-flat p1xp1-tied; do
     run "subdivide-$fan" "$fan" subdivide
     run "tropical-$fan" "$fan" tropical
 done
+
+run subdivide-p1xp1xp1-tied p1xp1xp1-tied subdivide
+run tropical-p1xp1xp1 p1xp1xp1 tropical
 
 # the flat lift has no certified scale: amoeba without --t is a domain error
 run amoeba-p2-flat p2-flat amoeba
