@@ -1,11 +1,12 @@
-"""Floating-point Laurent-polynomial engine: the mirror potential, the
-patchworking family with cutoff profiles, lopsidedness certificates,
-zero-locus sampling (n = 2), the symplecticity margin, and the pointwise
-horizontal lift.
+"""Floating-point Laurent-polynomial engine: the mirror potential W (whose
+coefficients _mirror_coefficients writes once, for W, the family and the
+CLI), the patchworking family with cutoff profiles, lopsidedness
+certificates, zero-locus sampling (n = 2), the symplecticity margin, the
+decay audit, the pointwise horizontal lift and the boundary sphere.
 
 Numerical architecture: the interesting scales t are astronomically large
 (log t in the hundreds), so term evaluation never multiplies raw monomials.
-Every evaluation works in log coordinates u = Log|z|, theta = arg z, with
+The family is evaluated in log coordinates u = Log|z|, theta = arg z only, with
 term log-magnitudes m_a = <a,u> - nu(a) log t; the largest m is factored
 out, and covectors are carried in the unit frame (z_j d/dz_j), in which the
 invariant metric |dz_j| = |z_j| becomes the Euclidean one.  (The sampler's
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import Fan, _exact_int, hull, is_smooth
+from .lattice import Fan, _exact_int, is_smooth
 from .tropical import (
     HeightFunction,
     InvalidEps,
@@ -131,18 +132,6 @@ class LaurentPolynomial:
     def n(self) -> int:
         return len(self.terms[0][0])
 
-    def newton_polytope(self):
-        return hull([a for a, _ in self.terms])
-
-    def eval(self, z: Sequence[complex]) -> complex:
-        val = 0j
-        for a, c in self.terms:
-            term = c
-            for e, zj in zip(a, z):
-                term *= zj ** e
-            val += term
-        return val
-
     def grad_hat(self, z: Sequence[complex]) -> np.ndarray:
         """Unit-frame gradient: component j is z_j * df/dz_j."""
         out = np.zeros(self.n, dtype=complex)
@@ -155,13 +144,17 @@ class LaurentPolynomial:
         return out
 
 
+def _mirror_coefficients(points) -> list[float]:
+    """W's coefficient at each exponent: -1 at the origin, +1 at every ray."""
+    return [1.0 if any(p) else -1.0 for p in points]
+
+
 def mirror_potential(fan: Fan) -> LaurentPolynomial:
     """W = -1 + sum over rays of z^ray (warns for non-smooth fans)."""
     if not is_smooth(fan):
         warnings.warn("fan is not smooth; potential built anyway", stacklevel=2)
-    terms = [((0,) * fan.n, -1.0 + 0j)]
-    terms.extend((ray, 1.0 + 0j) for ray in fan.rays)
-    return LaurentPolynomial(tuple(terms))
+    points = ((0,) * fan.n,) + fan.rays
+    return LaurentPolynomial(tuple(zip(points, _mirror_coefficients(points))))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +226,7 @@ class PatchworkFamily:
     @classmethod
     def from_fan(cls, fan: Fan, phi, t: float, s: float, eps: float = 0.1):
         cx = TropicalComplex(HeightFunction.from_bundle(fan, phi))
-        return cls(cx, t, s, eps, coefficients=[-1.0] + [1.0] * len(fan.rays))
+        return cls(cx, t, s, eps, coefficients=_mirror_coefficients(cx.height.points))
 
     @property
     def n(self) -> int:
@@ -318,31 +311,11 @@ class PatchworkFamily:
         del_hat = (TB[..., None, :] * self.exponents.T).sum(axis=-1) - cut
         return TB.sum(axis=-1), del_hat, -cut
 
-    def surviving_terms(self, u) -> tuple:
-        """Exponents whose cutoff has not fully killed the term (phi < 1)."""
-        phis, _ = self.cutoff_states(u)
-        return tuple(
-            self.exponents_int[i] for i in range(len(phis)) if phis[i] < 1.0
-        )
-
 
 def _log_coords(z):
     """(Log|z|, arg z) of complex coordinates, with the C library's rounding."""
     z = np.asarray(z, dtype=complex)
     return _libm(math.log, np.hypot(z.real, z.imag)), _libm(math.atan2, z.imag, z.real)
-
-
-def eval_family(F: PatchworkFamily, z: Sequence[complex]):
-    """(value, del, delbar) at z, covectors in the dz_j / dzbar_j basis."""
-    if any(zj == 0 for zj in z):
-        raise ValueError("points must lie in the algebraic torus")
-    u, theta = _log_coords(z)
-    mstar, val, dh, dbh = F.eval_scaled(u, theta)
-    scale = math.exp(mstar)
-    value = scale * val
-    del_cov = tuple(scale * dh[j] / z[j] for j in range(F.n))
-    delbar_cov = tuple(scale * dbh[j] / np.conj(z[j]) for j in range(F.n))
-    return value, del_cov, delbar_cov
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ def load_fan_json(path: str) -> tuple[Fan, list[Fraction]]:
     for key in ("rays", "max_cones", "phi"):
         if key not in data:
             raise MalformedFan(f"fan file is missing the {key!r} key")
+        if not isinstance(data[key], list):
+            raise MalformedFan(f"the {key!r} entry of the fan file must be a list")
     fan = Fan(data["rays"], data["max_cones"])
     try:
         phi = [Fraction(str(v)) for v in data["phi"]]
@@ -336,7 +338,7 @@ def _histogram_range(lo: float, hi: float, bins: int) -> tuple:
 def cmd_amoeba(config: JobConfig) -> int:
     import numpy as np
 
-    from .amoeba import PatchworkFamily, amoeba_sample_curve
+    from .amoeba import PatchworkFamily, _mirror_coefficients, amoeba_sample_curve
     from .tropical import (
         HeightFunction,
         TropicalComplex,
@@ -356,9 +358,8 @@ def cmd_amoeba(config: JobConfig) -> int:
         t = config.t
     else:
         t = choose_scale(tropical_constants(cx), config.eps)
-    # the mirror potential's coefficients: -1 at the origin, +1 at every ray
     F = PatchworkFamily(cx, t=t, s=config.s, eps=config.eps,
-                        coefficients=[-1.0] + [1.0] * len(fan.rays))
+                        coefficients=_mirror_coefficients(cx.height.points))
     L = F.L
     x0, x1, y0, y1 = config.window
     arg_count = max(4, config.grid // 3)

@@ -1,9 +1,10 @@
 """Combinatorial Floer theory of twisted sections over a moment polytope.
 
-Generators are refined lattice points of Q (boundary included exactly when
-l1 < l2), triangles are decided by an ordering gate plus an exact membership
-rule for the affine target point, and the graded algebra of a polytope is
-assembled with all structure constants 0 or 1.  Nothing here is ever
+A section L(j) enters only through its twist j.  Generators are refined
+lattice points of Q (boundary included exactly when l1 < l2), triangles
+are decided by an ordering gate plus an exact membership rule for the
+affine target point, and the graded algebra of a polytope is assembled
+with all structure constants 0 or 1.  Nothing here is ever
 rounded.  Each group carries its generators twice: as `Fraction` points, on
 which `triangle_target`, `triangle_exists` and `cup_product` work, and as
 their integer numerators at the group's refinement, read off the lattice
@@ -12,7 +13,7 @@ associativity from the numerators alone, in exact int64 arithmetic on
 scaled generators j*(p - v0), with a bound check that raises before any
 value could wrap.  The algebra keeps each product table as the kernel's
 int64 array, one (dim j, dim k) array of target indices per twist pair
-(j, k).
+(j, k); the isomorphism check reads them there, and nothing exports them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .lattice import (
     Polytope,
     _FractionCache,
     _lattice_numerators,
-    frac_str,
     interior_lattice_points,
     vec,
 )
@@ -47,25 +47,8 @@ class AssociativityViolation(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# sections and generators
+# generators and groups
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwistedSection:
-    """The section with covector field u -> -2*pi*j*u, kept symbolic."""
-
-    twist: int
-
-    def covector_field(self) -> str:
-        return f"u -> -2*pi*{self.twist}*u"
-
-    def twisted(self, k: int) -> "TwistedSection":
-        return TwistedSection(self.twist + k)
-
-    @property
-    def is_zero_section(self) -> bool:
-        return self.twist == 0
-
 
 @dataclass(frozen=True)
 class FloerGenerator:
@@ -212,20 +195,6 @@ class GradedAlgebra:
     def dimension(self, j: int) -> int:
         return self.pieces[j].dimension
 
-    def json_tables(self) -> dict:
-        out = {}
-        for (j, k), table in sorted(self.products.items()):
-            out[f"{j},{k}"] = [
-                [p, q, r] for p, row in enumerate(table.tolist()) for q, r in enumerate(row)
-            ]
-        return out
-
-    def json_basis(self) -> dict:
-        return {
-            str(j): [[frac_str(x) for x in g.point] for g in piece.basis]
-            for j, piece in enumerate(self.pieces)
-        }
-
 
 def assemble_algebra(Q: Polytope, J: int) -> GradedAlgebra:
     """Pieces HF0(L, L(j)) for 0 <= j <= J with all ladder products.
@@ -335,23 +304,3 @@ def serre_dual_dimension(Q: Polytope, j: int) -> int:
     if j >= 0:
         raise ValueError("Serre-dual dimensions are defined for negative twists")
     return len(interior_lattice_points(Q, -j))
-
-
-def dual_action_table(alg: GradedAlgebra, l: int, m: int):
-    """Action of the twist-l piece on the dual of the twist-m piece.
-
-    Encoded as the transpose of the tabulated (l, m-l) product: each entry
-    (p, q, r) becomes (p, r, q), read as x_p . x_r^dual = x_q^dual.  The
-    duality formula is backed for m > l (the composite twist stays
-    negative); m = l is the pairing itself and is flagged for audit.
-    """
-    if not 0 <= l <= m <= alg.J:
-        raise ValueError(f"no tabulated product ({l}, {m - l}) to transpose; J = {alg.J}")
-    if m == l:
-        log.warning(
-            "dualized product with l = m = %d is the pairing configuration, "
-            "outside the verified dualization range; returning the formal transpose",
-            l,
-        )
-    table = alg.products[(l, m - l)].tolist()
-    return sorted((p, r, q) for p, row in enumerate(table) for q, r in enumerate(row))

@@ -233,10 +233,6 @@ class Polytope:
         p = vec(point)
         return all(dot(a, p) < b for a, b in self.halfspaces)
 
-    @property
-    def contains_origin(self) -> bool:
-        return all(b >= 0 for _, b in self.halfspaces)
-
     def same_set(self, other: "Polytope") -> bool:
         """Geometric equality (same vertex set), ignoring H-rep presentation."""
         return self.n == other.n and self.vertices == other.vertices

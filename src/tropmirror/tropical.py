@@ -7,7 +7,8 @@ from one exact `lattice.hull_facets` pass over the points (alpha, nu(alpha)),
 whose facets, with the points on each, also give every face of every cell,
 and no epsilon ever enters.  So is the
 separation constant behind the certified scale: its square is rational, and
-only its square root is taken in floats.
+only its square root is taken in floats.  In the plane, the ends of Pi's
+segments are the gradients of the cells on each 1-face's dual edge.
 The rest of the quantitative half (distortion constants, the patchworking
 scale, Hausdorff distances between point clouds and the complex) is
 numerical by nature and uses floats; no combinatorial decision depends on a
@@ -41,7 +42,6 @@ from .lattice import (
     dot,
     hull_facets,
     mat_det,
-    mat_rank,
     primitive_row,
     require_convex,
     solve_square,
@@ -318,58 +318,6 @@ class TropicalComplex:
             return None
         comp = self.components[zi]
         return Polytope.from_halfspaces(list(comp.normals), list(comp.bounds))
-
-
-def face_geometry(face: TropicalFace, n: int):
-    """Exact geometric realization of a face (n <= 2).
-
-    Returns ("point", p), ("segment", p, q), ("ray", p, direction) or
-    ("line", p, direction); None if the face is empty (does not occur for
-    faces produced by TropicalComplex).
-    """
-    if face.dim == 0:
-        rows, rhs = [], []
-        for a, r in face.equalities:
-            if mat_rank(rows + [list(a)]) > len(rows):
-                rows.append(list(a))
-                rhs.append(r)
-            if len(rows) == n:
-                break
-        # n independent rows are nonsingular, and fewer raise in solve_square
-        return ("point", solve_square(rows, rhs))
-    if n != 2 or face.dim != 1:
-        raise ValueError("geometric realization implemented for n <= 2")
-    a, r = face.equalities[0]
-    den = Fraction(a[0] * a[0] + a[1] * a[1])
-    p0 = (Fraction(a[0]) * r / den, Fraction(a[1]) * r / den)
-    d = (Fraction(-a[1]), Fraction(a[0]))
-    tlo: Fraction | None = None
-    thi: Fraction | None = None
-    for g, rr in face.inequalities:
-        s = dot(g, d)
-        v = rr - dot(g, p0)
-        if s == 0:
-            if v < 0:
-                return None
-            continue
-        t = v / s
-        if s > 0:
-            thi = t if thi is None else min(thi, t)
-        else:
-            tlo = t if tlo is None else max(tlo, t)
-    if tlo is not None and thi is not None:
-        if tlo > thi:
-            return None
-        p = tuple(p0[k] + tlo * d[k] for k in range(2))
-        q = tuple(p0[k] + thi * d[k] for k in range(2))
-        return ("segment", p, q)
-    if tlo is None and thi is None:
-        return ("line", p0, d)
-    if thi is not None:
-        base = tuple(p0[k] + thi * d[k] for k in range(2))
-        return ("ray", base, tuple(-x for x in d))
-    base = tuple(p0[k] + tlo * d[k] for k in range(2))
-    return ("ray", base, d)
 
 
 # ---------------------------------------------------------------------------
@@ -660,29 +608,39 @@ def _clip_segment_to_box(p, q, window):
 def complex_segments(cx: TropicalComplex, window):
     """Float segments realizing Pi inside the window (n = 2 only).
 
-    Rays are truncated far outside the window before clipping, so the
-    clipped picture is exact as far as the window can see.
+    Each 1-face is dual to a subdivision edge S, and its ends are the
+    vertices of Pi dual to the cells that contain S: their gradients,
+    exact.  Two cells give a segment, its ends ordered by <g, d> along the
+    face's direction d = (-a_1, a_0), a its first equality row.  One cell
+    gives a ray from its gradient along +-d, the sign that makes
+    <A_k - A_i, dir> < 0 for i in S and k a point of the cell off S, so
+    that k falls below S's points along the ray.  Rays are truncated far
+    outside the window before clipping, so the clipped picture is exact as
+    far as the window can see.
     """
     if cx.n != 2:
         raise ValueError("segment realization needs n = 2")
+    A = cx.height.points
     x0, x1, y0, y1 = window
     reach = max(abs(x0), abs(x1), abs(y0), abs(y1)) * 4.0 + 10.0
     segs = []
     for f in cx.faces:
         if f.dim != 1:
             continue
-        geo = face_geometry(f, 2)
-        if geo is None:
-            continue
-        kind = geo[0]
-        if kind == "segment":
-            p = (float(geo[1][0]), float(geo[1][1]))
-            q = (float(geo[2][0]), float(geo[2][1]))
-        else:  # a ray from b, or a line through b, along d
-            b, d = geo[1], geo[2]
+        S = set(f.dual_indices)
+        (a0, a1), _ = f.equalities[0]
+        d = (-a1, a0)
+        ends = [(g, cell) for g, cell in cx.vertices() if S.issubset(cell)]
+        if len(ends) == 2:
+            p, q = sorted((g for g, _ in ends), key=lambda g: dot(g, d))
+            p, q = (float(p[0]), float(p[1])), (float(q[0]), float(q[1]))
+        else:  # a ray from the one cell's gradient b
+            (b, cell), = ends
+            i, k = f.dual_indices[0], next(k for k in cell if k not in S)
+            if dot(A[k], d) > dot(A[i], d):
+                d = (a1, -a0)
             dn = math.hypot(float(d[0]), float(d[1]))
-            back = reach if kind == "line" else 0.0
-            p = (float(b[0]) - back * float(d[0]) / dn, float(b[1]) - back * float(d[1]) / dn)
+            p = (float(b[0]), float(b[1]))
             q = (float(b[0]) + reach * float(d[0]) / dn, float(b[1]) + reach * float(d[1]) / dn)
         clipped = _clip_segment_to_box(p, q, window)
         if clipped is not None:

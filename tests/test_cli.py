@@ -443,6 +443,19 @@ def test_repeated_cone_is_malformed_exit1(tmp_path, capsys):
         assert "listed twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("phi", "111"),  # read character by character, it would be phi = (1, 1, 1)
+    ("phi", {"1": 0, "2": 0, "3": 0}),  # iterated, it would be its keys (1, 2, 3)
+    ("rays", "[[1, 0], [0, 1], [-1, -1]]"),
+    ("max_cones", {"0": [0, 1]}),
+], ids=["phi-string", "phi-object", "rays-string", "max_cones-object"])
+def test_fan_entries_that_are_not_lists_exit1(tmp_path, capsys, key, value):
+    fan = write_fan(tmp_path, dict(P2, **{key: value}))
+    assert main(["hilbert", "--input", fan, "--out", str(tmp_path / "out")]) == 1
+    assert f"the {key!r} entry of the fan file must be a list" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "hilbert.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # amoeba
 # ---------------------------------------------------------------------------

@@ -23,12 +23,10 @@ from tropmirror.floer import (
     DegenerateTriple,
     FloerGenerator,
     FloerGroup,
-    TwistedSection,
     _audit_associativity,
     _ladder_tables,
     assemble_algebra,
     cup_product,
-    dual_action_table,
     floer_group,
     serre_dual_dimension,
     triangle_exists,
@@ -80,16 +78,8 @@ def test_oracle_against_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# sections and groups
+# generators and groups
 # ---------------------------------------------------------------------------
-
-def test_twisted_section_composition():
-    zero = TwistedSection(0)
-    assert zero.is_zero_section
-    assert zero.twisted(3).twist == 3
-    assert TwistedSection(2).twisted(-5) == TwistedSection(-3)
-    assert "-2*pi*4" in TwistedSection(4).covector_field()
-
 
 def test_floer_group_p2_fixtures():
     Q = p2_Q()
@@ -341,17 +331,6 @@ def test_kernel_rejects_generators_outside_the_polytope():
         _ladder_tables(Q, holed, 2)
 
 
-def test_json_export_shapes():
-    alg = assemble_algebra(p1_Q(), 2)
-    tables = alg.json_tables()
-    assert set(tables) == {"0,0", "0,1", "0,2", "1,0", "1,1", "2,0"}
-    for entries in tables.values():
-        for p, q, r in entries:
-            assert isinstance(p, int) and isinstance(q, int) and isinstance(r, int)
-    basis = alg.json_basis()
-    assert basis["1"] == [["-1/1"], ["0/1"], ["1/1"]]
-
-
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
@@ -371,21 +350,6 @@ def test_serre_pairing_boundary_count():
         front = floer_group(Q, 0, j).dimension
         back = serre_dual_dimension(Q, -j)
         assert front - back == oracle_boundary_count(j)
-
-
-def test_dual_action_is_the_transpose(caplog):
-    alg = assemble_algebra(p2_Q(), 2)
-    dual = dual_action_table(alg, 1, 2)
-    direct = sorted((p, r, q) for (p, q), r in np.ndenumerate(alg.products[(1, 1)]))
-    assert dual == direct
-    assert all(type(x) is int for entry in dual for x in entry)
-    with caplog.at_level(logging.WARNING, logger="tropmirror.floer"):
-        dual_action_table(alg, 1, 1)
-    assert any("pairing" in r.message for r in caplog.records)
-    # m < l, m past the truncation J = 2, and a negative twist have no table
-    for l, m in ((2, 1), (1, 3), (-1, 1)):
-        with pytest.raises(ValueError, match="no tabulated product"):
-            dual_action_table(alg, l, m)
 
 
 def test_random_triangle_predicate_agreement():

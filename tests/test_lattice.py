@@ -193,7 +193,7 @@ def test_moment_polytope_p2():
     assert expect == [(F(-2), F(1)), (F(1), F(-2)), (F(1), F(1))]
     assert list(q.vertices) == expect
     assert q.dim == 2 and not q.degenerate
-    assert q.contains_origin
+    assert q.contains((0, 0))
 
 
 def test_moment_polytope_p1():

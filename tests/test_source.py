@@ -41,3 +41,21 @@ def test_scipy_is_not_a_runtime_dependency():
     text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
     deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
     assert re.findall(r'"([^"]*)"', deps) == ["numpy>=1.24"]
+
+
+def test_bench_tracer_patches_and_restores_every_binding(monkeypatch):
+    # bench/tracer.py wraps package functions and methods by name, so a
+    # traced name that leaves the package fails here, not in a later
+    # `bench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    patched = list(tracer._undo)
+    try:
+        assert patched
+        assert all(owner.__dict__[attr] is not old for owner, attr, old in patched)
+    finally:
+        tracer.restore()
+    assert all(owner.__dict__[attr] is old for owner, attr, old in patched)
