@@ -10,10 +10,11 @@ sweep, with no `Fraction` in between: the ring bases are the integer points
 of jQ, and the image j*p of a Floer generator p is its numerator at the
 refinement j.  The product check reads the algebra's int64 tables directly:
 one gather and one broadcast sum of integer image points per (j, k) slice.
-The counts take the length of the public `Fraction` point lists.  The
-Hilbert function and the interior counts live in `lattice`, so that the
+The Hilbert function and the interior counts live in `lattice`, where
+they sum the sweep's column lengths and build no point, so that the
 `hilbert` command runs without this module; both are imported back here,
-and the counting polynomial is fitted to the first.
+and the counting polynomial is fitted to the first.  The Serre check's
+dilate count still takes the length of a public `Fraction` point list.
 """
 
 from __future__ import annotations

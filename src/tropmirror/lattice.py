@@ -13,13 +13,15 @@ the tropical layer's regular subdivision, the lower hull of a height
 function's lifted support.  Lattice points come from one integer column
 sweep, `_lattice_columns`, that gives each column of the box its interval
 of last coordinates by floor division.
-Two readers sit on it: the public `lattice_points` and
-`interior_lattice_points` return `Fraction` points, and the private
-`_lattice_numerators` returns the integer numerators k of the points k/d,
-which the Floer ladder, the ring bases and the isomorphism check read.  The
-dilate-and-count values behind `hilbert` (`hilbert_function`,
-`interior_counts`) are the lengths of the public point lists of the dilates
-jQ, so that command needs no module beyond this one.
+Three readers sit on it.  The public `lattice_points` and
+`interior_lattice_points` return the points as `Fraction` tuples.  The
+private `_lattice_numerators` returns the integer numerators k of the
+points k/d, which the Floer ladder, the ring bases and the isomorphism
+check read.  The private `_lattice_count` returns only how many points
+there are, the sum of the column lengths, and builds none of them: the
+dilate-and-count values behind `hilbert` and the Ehrhart fit
+(`hilbert_function`, `interior_counts`) are its counts of the dilates jQ,
+so that command needs no module beyond this one.
 """
 
 from __future__ import annotations
@@ -428,23 +430,20 @@ def interior_lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
 
 
 def hilbert_function(Q: Polytope, j_max: int) -> list[int]:
-    """[|jQ cap Z^n|] for j = 0..j_max, by dilate-and-count."""
+    """[|jQ cap Z^n|] for j = 0..j_max, by dilate-and-count: each count is
+    `_lattice_count` of the dilate jQ, and no point is built."""
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    out = [1]
-    for j in range(1, j_max + 1):
-        out.append(len(lattice_points(Q.dilate(j))))
-    return out
+    return [1] + [_lattice_count(Q.dilate(j), 1, strict=False) for j in range(1, j_max + 1)]
 
 
 def interior_counts(Q: Polytope, j_max: int) -> list[int]:
-    """[|interior(jQ) cap Z^n|] for j = 0..j_max (0 at j=0 by convention)."""
+    """[|interior(jQ) cap Z^n|] for j = 0..j_max (0 at j=0 by convention),
+    counted like `hilbert_function`; LowerDimensional for a degenerate Q
+    when j_max >= 1."""
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    out = [0]
-    for j in range(1, j_max + 1):
-        out.append(len(interior_lattice_points(Q.dilate(j))))
-    return out
+    return [0] + [_lattice_count(Q.dilate(j), 1, strict=True) for j in range(1, j_max + 1)]
 
 
 class _FractionCache(dict):
@@ -476,6 +475,13 @@ def _lattice_numerators(poly: Polytope, d: int, strict: bool) -> list[tuple[int,
     the same points, in the same order, as the public readers."""
     return [head + (k,) for head, lo, hi in _lattice_columns(poly, d, strict)
             for k in range(lo, hi + 1)]
+
+
+def _lattice_count(poly: Polytope, d: int, strict: bool) -> int:
+    """How many points `_fraction_points` and `_lattice_numerators` list:
+    the sum of the column lengths hi - lo + 1, with no point built.  It
+    raises where they raise."""
+    return sum(hi - lo + 1 for _, lo, hi in _lattice_columns(poly, d, strict))
 
 
 def _lattice_columns(
@@ -613,7 +619,10 @@ class Fan:
 
 
 def _exact_int(x, what: str) -> int:
-    """x as an int; MalformedFan when int() would change its value (1.5, "1")."""
+    """x as an int; MalformedFan when int() would change its value (1.5, "1")
+    and for a bool, which int() keeps equal (a JSON true is not 1)."""
+    if isinstance(x, bool):
+        raise MalformedFan(f"{what} {x!r} is not an integer")
     try:
         i = int(x)
     except (TypeError, ValueError, OverflowError) as e:

@@ -752,19 +752,19 @@ def hausdorff_distance(cloud, segments, window) -> float:
     if not segments:
         raise EmptyWindow("tropical complex does not meet the window")
 
-    # cloud -> Pi
+    # cloud -> Pi, over contiguous x and y columns; the projection stays one
+    # (N, 2) @ dv product, so that it rounds as it always has (BLAS may fuse)
+    x, y = pts.T.copy()
     best = np.full(len(pts), np.inf)
     for p, q in segments:
         pv = np.array(p)
         dv = np.array(q) - pv
+        ex, ey = x - pv[0], y - pv[1]
         denom = float(dv @ dv)
-        if denom == 0.0:
-            d = np.linalg.norm(pts - pv, axis=1)
-        else:
-            t = np.clip(((pts - pv) @ dv) / denom, 0.0, 1.0)
-            proj = pv + t[:, None] * dv
-            d = np.linalg.norm(pts - proj, axis=1)
-        best = np.minimum(best, d)
+        if denom != 0.0:
+            t = np.clip((np.stack((ex, ey), axis=1) @ dv) / denom, 0.0, 1.0)
+            ex, ey = x - (pv[0] + t * dv[0]), y - (pv[1] + t * dv[1])
+        best = np.minimum(best, np.sqrt(ex * ex + ey * ey))
     d_cloud = float(np.max(best))
 
     # Pi -> cloud

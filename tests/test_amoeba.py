@@ -358,17 +358,30 @@ def test_eval_family_s_zero_is_holomorphic():
 def test_eval_family_finite_differences():
     # 100 random points and 5 random (t, s) pairs, relative tolerance 1e-5.
     # With z_j = exp(u_j + i theta_j), df/du_j = e^{mstar} (del_hat_j +
-    # delbar_hat_j) and df/dtheta_j = i e^{mstar} (del_hat_j - delbar_hat_j)
+    # delbar_hat_j) and df/dtheta_j = i e^{mstar} (del_hat_j - delbar_hat_j).
+    # The 100 points lie deep in the origin's component, where every cutoff
+    # is flat and delbar_hat is 0; 20 more per pair lie on the ramp of that
+    # component, {u_1, u_2 <= L, u_1 + u_2 >= -L} at L = log t, past its
+    # facet u_1 = L (or u_2 = L) by r in (eps L / 2, eps L), so the cutoff
+    # gradients enter delbar_hat
     rng = np.random.default_rng(7)
+    ramp_rng = np.random.default_rng(8)
     worst = 0.0
+    largest_delbar = 0.0
     for _ in range(5):
         t = math.exp(rng.uniform(1.5, 5.0))
         s = float(rng.uniform(0.05, 1.0))
         F = p2_family(t=t, s=s)
-        for _ in range(100):
-            u, theta = np.array([(rng.uniform(-1, 1), rng.uniform(-np.pi, np.pi))
-                                 for _ in range(2)]).T
+        points = [np.array([(rng.uniform(-1, 1), rng.uniform(-np.pi, np.pi))
+                            for _ in range(2)]).T for _ in range(100)]
+        for _ in range(20):
+            r = F.eps * F.L * ramp_rng.uniform(0.55, 0.95)
+            u = np.array([F.L + r, F.L * ramp_rng.uniform(-1.5, 0.5)])
+            theta = ramp_rng.uniform(-np.pi, np.pi, 2)
+            points.append((u[::-1] if ramp_rng.integers(2) else u, theta))
+        for u, theta in points:
             mstar, _, dh, dbh = F.eval_scaled(u, theta)
+            largest_delbar = max(largest_delbar, float(np.max(np.abs(dbh))))
             scale = math.exp(mstar)
             for j in range(2):
                 for wrt, expect in ((0, scale * (dh[j] + dbh[j])),
@@ -377,6 +390,7 @@ def test_eval_family_finite_differences():
                     rel = abs(fd - expect) / max(abs(expect), 1e-9)
                     worst = max(worst, rel)
     assert worst < 1e-5
+    assert largest_delbar > 0.0
 
 
 def test_eval_family_deep_reduction():

@@ -456,6 +456,18 @@ def test_fan_entries_that_are_not_lists_exit1(tmp_path, capsys, key, value):
     assert not (tmp_path / "out" / "hilbert.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("rays", [[True, False], [False, True], [-1, -1]], "ray coordinate True"),
+    ("max_cones", [[False, True], [True, 2], [False, 2]], "cone index False"),
+], ids=["rays", "max_cones"])
+def test_json_booleans_are_not_integers_exit1(tmp_path, capsys, key, value, what):
+    # int(True) == True, so read as integers both files would be P^2
+    fan = write_fan(tmp_path, dict(P2, **{key: value}))
+    assert main(["hilbert", "--input", fan, "--J", "3", "--out", str(tmp_path / "out")]) == 1
+    assert f"{what} is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "hilbert.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # amoeba
 # ---------------------------------------------------------------------------

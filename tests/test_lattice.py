@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropmirror import lattice
 from tropmirror.floer import floer_group
 from tropmirror.lattice import (
     Fan,
@@ -25,11 +26,14 @@ from tropmirror.lattice import (
     NotConvex,
     Polytope,
     Unbounded,
+    _lattice_count,
     _lattice_numerators,
     affine_dim,
     dot,
+    hilbert_function,
     hull,
     hull_facets,
+    interior_counts,
     interior_lattice_points,
     is_smooth,
     lattice_points,
@@ -733,6 +737,24 @@ def test_integer_reader_matches_the_public_points(points, k, d):
     assert list(group.numerators) == [x for x, gap in gaps if gap <= 0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_point_sets, st.sampled_from((F(1, 2), F(2, 3), F(1), F(3, 2))),
+       st.integers(1, 3))
+def test_count_reader_matches_the_points(points, k, d):
+    # the sum of the column lengths: the brute-force scan's number of
+    # points, and the length of the public point list
+    q = hull(points).dilate(k)
+    _, gaps = brute_force_gaps(q, d)
+    for strict, public in ((False, lattice_points), (True, interior_lattice_points)):
+        if strict and q.degenerate:
+            with pytest.raises(LowerDimensional):
+                _lattice_count(q, d, strict)
+            continue
+        count = _lattice_count(q, d, strict)
+        assert count == sum(1 for _, gap in gaps if (gap < 0 if strict else gap <= 0))
+        assert count == len(public(q, d))
+
+
 def box_sweep(poly, d, strict):
     """The enumerator as it was before the column sweep, frozen: every point
     of the refined bounding box, tested against every integer limit."""
@@ -752,6 +774,20 @@ P3_FAN = Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
 # P(1,1,2) and its mirror image in y: the facet normals (-1, -2) and
 # (-1, 2) bound the last coordinate by a division that is not exact
 P112_MIRROR_FAN = Fan(((1, 0), (0, -1), (-1, 2)), ((0, 1), (1, 2), (0, 2)))
+
+
+def test_counts_build_no_points(monkeypatch):
+    # hilbert and the Ehrhart fit count the dilates jQ from their columns:
+    # no Fraction point is built.  P^2 is 3 and P^3 is 4 times the
+    # unimodular simplex, so the counts are C(mj + n, n) and C(mj - 1, n)
+    def no_points(*args):
+        raise AssertionError("a count built Fraction points")
+
+    monkeypatch.setattr(lattice, "_fraction_points", no_points)
+    for fan, n, m, J in ((P2_FAN, 2, 3, 6), (P3_FAN, 3, 4, 4)):
+        q = polytope_from_bundle(fan, (1,) * len(fan.rays))
+        assert hilbert_function(q, J) == [math.comb(m * j + n, n) for j in range(J + 1)]
+        assert interior_counts(q, J) == [0] + [math.comb(m * j - 1, n) for j in range(1, J + 1)]
 
 
 @pytest.mark.parametrize("fan, phi", [

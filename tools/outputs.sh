@@ -100,6 +100,13 @@ for fan in p4 p2-flat p1xp1-tied; do
     run "tropical-$fan" "$fan" tropical
 done
 
+# the hilbert jobs of the benchmark, rank 4, and the flat lift, whose
+# interior counts are a domain error (exit 2)
+run hilbert-p3-J10 p3 hilbert --J 10
+run hilbert-f1-J40 f1 hilbert --J 40
+run hilbert-p4-J6 p4 hilbert --J 6
+run hilbert-p2-flat p2-flat hilbert
+
 run subdivide-p1xp1xp1-tied p1xp1xp1-tied subdivide
 run tropical-p1xp1xp1 p1xp1xp1 tropical
 
