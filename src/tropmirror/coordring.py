@@ -14,7 +14,7 @@ The Hilbert function and the interior counts live in `lattice`, where
 they sum the sweep's column lengths and build no point, so that the
 `hilbert` command runs without this module; both are imported back here,
 and the counting polynomial is fitted to the first.  The Serre check's
-dilate count still takes the length of a public `Fraction` point list.
+dilate count is a column sum too.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import numpy as np
 from .floer import GradedAlgebra, serre_dual_dimension
 from .lattice import (  # noqa: F401  (interior_counts is re-exported)
     Polytope,
+    _lattice_count,
     _lattice_numerators,
     hilbert_function,
     interior_counts,
-    interior_lattice_points,
     solve_square,
 )
 
@@ -198,7 +198,7 @@ def serre_check(Q: Polytope, j_max: int) -> SerreReport:
     all_ok = True
     for j in range(1, j_max + 1):
         refine = serre_dual_dimension(Q, -j)
-        dilate = len(interior_lattice_points(Q.dilate(j)))
+        dilate = _lattice_count(Q.dilate(j), 1, strict=True)
         recip = eval_poly(coeffs, -j) * (-1) ** n
         recip_int = int(recip) if recip.denominator == 1 else None
         ok = refine == dilate == recip_int

@@ -1,19 +1,19 @@
 """Combinatorial Floer theory of twisted sections over a moment polytope.
 
 A section L(j) enters only through its twist j.  Generators are refined
-lattice points of Q (boundary included exactly when l1 < l2), triangles
-are decided by an ordering gate plus an exact membership rule for the
-affine target point, and the graded algebra of a polytope is assembled
-with all structure constants 0 or 1.  Nothing here is ever
-rounded.  Each group carries its generators twice: as `Fraction` points, on
-which `triangle_target`, `triangle_exists` and `cup_product` work, and as
-their integer numerators at the group's refinement, read off the lattice
-sweep.  `assemble_algebra` tabulates the ladder products and audits their
-associativity from the numerators alone, in exact int64 arithmetic on
-scaled generators j*(p - v0), with a bound check that raises before any
-value could wrap.  The algebra keeps each product table as the kernel's
-int64 array, one (dim j, dim k) array of target indices per twist pair
-(j, k); the isomorphism check reads them there, and nothing exports them.
+lattice points of Q (boundary included exactly when l1 < l2), triangles are
+decided by an ordering gate plus an exact membership rule for the affine
+target point, and the graded algebra of a polytope is assembled with all
+structure constants 0 or 1.  Nothing here is ever rounded.  Each group carries
+its generators as integer numerators at its refinement, read off the lattice
+sweep, and builds its `Fraction` `basis`, on which `triangle_target`,
+`triangle_exists` and `cup_product` work, from them on first use; `verify`
+never builds it.  `assemble_algebra` tabulates the ladder products and audits
+their associativity from the numerators alone, in exact int64 arithmetic on
+scaled generators j*(p - v0), with a bound check that raises before any value
+could wrap.  The algebra keeps each product table as the kernel's int64 array,
+one (dim j, dim k) array of target indices per twist pair (j, k); the
+isomorphism check reads them there, and nothing exports them.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor
 from typing import Sequence
 
@@ -30,8 +31,8 @@ import numpy as np
 from .lattice import (
     Polytope,
     _FractionCache,
+    _lattice_count,
     _lattice_numerators,
-    interior_lattice_points,
     vec,
 )
 
@@ -71,14 +72,20 @@ class FloerGroup:
     l1: int
     l2: int
     polytope: Polytope
-    basis: tuple[FloerGenerator, ...]
     # numerators[i] = |l2 - l1| * basis[i].point as an int tuple (the zero
     # vector when l1 = l2): the generators the integer kernels read
     numerators: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def basis(self) -> tuple[FloerGenerator, ...]:  # the generators as Fraction points
+        frac = _FractionCache(abs(self.l2 - self.l1) or 1)
+        hom = 0 if self.l1 > self.l2 else self.polytope.n
+        return tuple(FloerGenerator(self.l1, self.l2, tuple(frac[k] for k in p), hom)
+                     for p in self.numerators)
+
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.numerators)
 
 
 def floer_group(Q: Polytope, l1: int, l2: int) -> FloerGroup:
@@ -89,23 +96,12 @@ def floer_group(Q: Polytope, l1: int, l2: int) -> FloerGroup:
     (1/(l1-l2))-lattice, degree 0.  l1 = l2: the single canonical generator,
     degree n.
     """
-    n = Q.n
-    zero = (0,) * n
-    if not Q.contains_strictly(zero):
-        warnings.warn(
-            "polytope is not full-dimensional with the origin interior; "
-            "twisted-section geometry degenerates",
-            stacklevel=2,
-        )
-    d = abs(l2 - l1) or 1
+    if Q.degenerate or any(b <= 0 for _, b in Q.halfspaces):  # the origin is not interior
+        warnings.warn("polytope is not full-dimensional with the origin interior; "
+                      "twisted-section geometry degenerates", stacklevel=2)
     if l1 == l2:
-        nums = (zero,)
-    else:
-        nums = tuple(_lattice_numerators(Q, d, strict=l1 > l2))
-    hom = 0 if l1 > l2 else n
-    frac = _FractionCache(d)
-    basis = tuple(FloerGenerator(l1, l2, tuple(frac[k] for k in p), hom) for p in nums)
-    return FloerGroup(l1, l2, Q, basis, nums)
+        return FloerGroup(l1, l2, Q, ((0,) * Q.n,))
+    return FloerGroup(l1, l2, Q, tuple(_lattice_numerators(Q, abs(l2 - l1), strict=l1 > l2)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,4 +299,4 @@ def serre_dual_dimension(Q: Polytope, j: int) -> int:
     """dim HF^n(L, L(j)) for j < 0: interior points of the |j|-refinement."""
     if j >= 0:
         raise ValueError("Serre-dual dimensions are defined for negative twists")
-    return len(interior_lattice_points(Q, -j))
+    return _lattice_count(Q, -j, strict=True)

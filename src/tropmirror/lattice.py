@@ -6,7 +6,9 @@ the geometry (vertices, halfspace bounds, determinants) is in
 algorithm is one algorithm for every dimension n >= 1: the convex hull, the
 vertex enumeration with its recession test, and the fan completeness test
 are exact for every n (their docstrings give the proofs), at a cost that
-grows with the number of n-subsets of their input.  The hull is one facet
+grows with the number of n-subsets of their input.  A fan's moment polytope
+needs no vertex enumeration: its vertices are the cone gradients that the
+convexity pass solves (`polytope_from_bundle`).  The hull is one facet
 pass, `hull_facets`, that records which points lie on each facet: the
 vertices are read from those index sets, and so are the cells and faces of
 the tropical layer's regular subdivision, the lower hull of a height
@@ -20,12 +22,13 @@ points k/d, which the Floer ladder, the ring bases and the isomorphism
 check read.  The private `_lattice_count` returns only how many points
 there are, the sum of the column lengths, and builds none of them: the
 dilate-and-count values behind `hilbert` and the Ehrhart fit
-(`hilbert_function`, `interior_counts`) are its counts of the dilates jQ,
-so that command needs no module beyond this one.
+(`hilbert_function`, `interior_counts`) and both Serre counts of `verify`
+are its counts, and `hilbert` needs no module beyond this one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -504,7 +507,7 @@ def _lattice_columns(
     """
     if strict and poly.degenerate:
         raise LowerDimensional("interior of a lower-dimensional polytope is empty")
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:  # a bool is an int to isinstance
         raise ValueError("refinement d must be a positive integer")
     limits = [
         (a[:-1], a[-1], ceil(b * d) - 1 if strict else floor(b * d)) for a, b in poly.halfspaces
@@ -585,19 +588,31 @@ class Fan:
         """Does the fan support cover all of R^n?  Exact degree test, every n.
 
         Every ridge (n - 1 rays of a maximal cone) must be shared by exactly
-        two maximal cones lying on opposite sides of its hyperplane.  Then
-        the number of cones containing a generic direction (one off every
-        hyperplane spanned by n - 1 rays) is the same everywhere: a path
-        between two generic directions can cross those hyperplanes one at a
-        time, off every face of dimension n - 2, and at each crossing the
-        cones it leaves and enters pair up by the ridge they meet it in, one
-        of each pair on each side.  So that count is the degree of the
+        two maximal cones lying on opposite sides of its hyperplane.  The
+        cone that adds the ray v lies on the side of sign <N, v>, N the
+        ridge's normal (the nullspace of its rays), since det(ridge, v) =
+        <C, v> for the ridge's cofactor vector C, a nonzero multiple of N; a
+        zero, or a ridge of dependent rays (no N), is a degenerate cone.
+        Then the number of cones containing a generic direction (one off
+        every hyperplane spanned by n - 1 rays) is the same everywhere: a
+        path between two generic directions can cross those hyperplanes one
+        at a time, off every face of dimension n - 2, and at each crossing
+        the cones it leaves and enters pair up by the ridge they meet it in,
+        one of each pair on each side.  So that count is the degree of the
         cones over the sphere of directions, and the cones cover R^n once,
-        as a complete fan's do, iff it is 1.  `_generic_direction` gives
-        one such direction.  In n = 1 the one ridge is the empty set and
-        its hyperplane is the origin.
+        as a complete fan's do, iff it is 1.  `_generic_direction` gives one
+        such direction from the normals of all (n - 1)-subsets of rays,
+        which the ridge test shares; each is computed on first use.  In
+        n = 1 the one ridge is the empty set and its hyperplane is the
+        origin.
         """
         n = self.n
+
+        @functools.cache
+        def normal(idx: tuple[int, ...]) -> Vec | None:
+            ns = nullspace([self.rays[i] for i in idx], n)
+            return ns[0] if len(ns) == 1 else None
+
         opposite: dict[tuple[int, ...], list[int]] = {}  # ridge -> opposite rays
         for c in self.max_cones:
             if len(c) != n:
@@ -605,17 +620,13 @@ class Fan:
             for k in c:
                 opposite.setdefault(tuple(i for i in c if i != k), []).append(k)
         for ridge, ks in opposite.items():
-            if len(ks) != 2:
+            N = normal(ridge) if len(ks) == 2 else None
+            if N is None or dot(N, self.rays[ks[0]]) * dot(N, self.rays[ks[1]]) >= 0:
                 return False
-            s1, s2 = (mat_det([self.rays[i] for i in ridge] + [self.rays[k]]) for k in ks)
-            if s1 * s2 >= 0:
-                return False
-        w = _generic_direction(self.rays, n)
-        inside = 0
-        for c in self.max_cones:
-            lam = solve_square([[self.rays[i][k] for i in c] for k in range(n)], w)
-            inside += all(x > 0 for x in lam)
-        return inside == 1
+        subsets = itertools.combinations(range(len(self.rays)), n - 1)
+        w = _generic_direction([N for N in map(normal, subsets) if N is not None], n)
+        columns = ([[self.rays[i][k] for i in c] for k in range(n)] for c in self.max_cones)
+        return sum(all(x > 0 for x in solve_square(m, w)) for m in columns) == 1
 
 
 def _exact_int(x, what: str) -> int:
@@ -632,19 +643,13 @@ def _exact_int(x, what: str) -> int:
     return i
 
 
-def _generic_direction(rays, n: int) -> tuple[int, ...]:
-    """First w = (1, k, ..., k^(n-1)), k = 1, 2, ..., on no hyperplane
-    spanned by n - 1 rays.
+def _generic_direction(normals: Sequence[Vec], n: int) -> tuple[int, ...]:
+    """First w = (1, k, ..., k^(n-1)), k = 1, 2, ..., off every hyperplane
+    whose normal is given: the hyperplanes spanned by n - 1 rays.
 
-    Each hyperplane's normal (from nullspace) dotted with w is a nonzero
-    polynomial of degree at most n - 1 in k, so every hyperplane rules out
-    at most n - 1 values of k.
+    Each normal dotted with w is a nonzero polynomial of degree at most
+    n - 1 in k, so every hyperplane rules out at most n - 1 values of k.
     """
-    normals = []
-    for sub in itertools.combinations(rays, n - 1):
-        ns = nullspace(sub, n)
-        if len(ns) == 1:
-            normals.append(ns[0])
     for k in itertools.count(1):
         w = tuple(k**e for e in range(n))
         if all(dot(nm, w) != 0 for nm in normals):
@@ -670,6 +675,13 @@ def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | N
     where witness names (cone index, other cone index) for the first pair
     violating strictness / convexity.
     """
+    kind, witness, _ = _convexity(fan, phi)
+    return kind, witness
+
+
+def _convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | None, list[Vec]]:
+    """support_convexity's verdict and witness, and phi's gradient m_sigma on
+    each maximal cone sigma, in cone order, tested against every other ray."""
     if len(phi) != len(fan.rays):
         raise MalformedFan("phi must assign one value per ray")
     vals = [_frac(p) for p in phi]
@@ -681,8 +693,7 @@ def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | N
         if m is None:
             raise MalformedFan(f"cone {c} is degenerate (rays do not span)")
         grads.append(m)
-    kind = "strict"
-    witness = None
+    kind, witness = "strict", None
     for ci, (c, m) in enumerate(zip(fan.max_cones, grads)):
         for ri, ray in enumerate(fan.rays):
             if ri in c:
@@ -692,34 +703,44 @@ def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | N
             if other is None:
                 raise MalformedFan(f"ray {ri} lies in no maximal cone")
             if val > vals[ri]:
-                return "nonconvex", (ci, other)
+                return "nonconvex", (ci, other), grads
             if val == vals[ri] and kind == "strict":
                 # the graph is flat across this wall: convex but not strictly
                 kind = "weak"
                 witness = (ci, other)
-    return kind, witness
+    return kind, witness, grads
 
 
 def require_convex(fan: Fan, phi: Sequence) -> str:
     """support_convexity's verdict, "strict" or "weak"; NotConvex, naming the
     offending cone pair, when phi is not even weakly convex."""
-    kind, witness = support_convexity(fan, phi)
+    return _require_convex(fan, phi)[0]
+
+
+def _require_convex(fan: Fan, phi: Sequence) -> tuple[str, list[Vec]]:
+    """require_convex's verdict, with _convexity's cone gradients."""
+    kind, witness, grads = _convexity(fan, phi)
     if kind == "nonconvex":
-        raise NotConvex(
-            f"support function not convex across cone pair {witness[0]} and {witness[1]}"
-        )
-    return kind
+        raise NotConvex("support function not convex across cone pair {} and {}".format(*witness))
+    return kind, grads
 
 
 def polytope_from_bundle(fan: Fan, phi: Sequence) -> Polytope:
-    """Moment polytope {y : <v_i, y> <= phi(v_i)} of a support function.
+    """Moment polytope Q = {y : <v_i, y> <= phi(v_i)} of a support function.
 
     Raises Unbounded when the fan is not complete and NotConvex when phi is
     not even weakly convex.  A weakly-(but not strictly-)convex phi gives a
     degenerate polytope, which is returned flagged rather than rejected.
+    For a complete fan and a convex phi the vertices of Q are the distinct
+    gradients m_sigma of the convexity pass (Cox, Little & Schenck, Thm
+    6.1.7): m_sigma is in Q with n independent rows tight, and a vertex u,
+    the one maximizer over Q of some w = sum c_i v_i, c_i > 0, inside a
+    cone sigma, has <w, u> <= sum c_i phi_i = <w, m_sigma>.  The rays are
+    primitive and distinct, so the rows (v_i, phi_i) are Q's halfspaces.
     """
     if not fan.is_complete():
         raise Unbounded("fan is not complete; moment polytope would be unbounded")
-    require_convex(fan, phi)
-    vals = [_frac(p) for p in phi]
-    return Polytope.from_halfspaces(list(fan.rays), vals)
+    _, grads = _require_convex(fan, phi)
+    verts = set(grads)
+    return Polytope(fan.n, tuple(verts), tuple(sorted(zip(fan.rays, map(_frac, phi)))),
+                    affine_dim(verts))

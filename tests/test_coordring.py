@@ -17,7 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropmirror.lattice import Fan, hull, is_smooth, polytope_from_bundle, support_convexity
+from tropmirror.lattice import (
+    Fan,
+    Polytope,
+    hull,
+    is_smooth,
+    polytope_from_bundle,
+    support_convexity,
+)
 from tropmirror.floer import assemble_algebra, floer_group
 from tropmirror.coordring import (
     IsomorphismReport,
@@ -303,8 +310,21 @@ def test_smooth_surface_corpus_verifies(surface):
     assume(support_convexity(fan, phi)[0] == "strict")
     assert is_smooth(fan) and fan.is_complete()
     Q = polytope_from_bundle(fan, phi)
+    # the vertices read off the cone gradients are the enumerated ones
+    assert Q == Polytope.from_halfspaces(fan.rays, phi)
     assert verify_isomorphism(assemble_algebra(Q, 3), section_ring(Q, 3)).ok
     assert serre_check(Q, 3).ok
+
+
+def test_verify_builds_no_fraction_basis():
+    # the verify pipeline reads the generators as numerators only: no piece
+    # of the algebra holds a built Fraction basis afterwards
+    for Q, J in ((p2_Q(), 4), (polytope_from_bundle(P3_FAN, (1, 1, 1, 1)), 3)):
+        alg = assemble_algebra(Q, J)
+        assert verify_isomorphism(alg, section_ring(Q, J)).ok
+        assert serre_check(Q, J).ok
+        assert [p.dimension for p in alg.pieces] == hilbert_function(Q, J)
+        assert all("basis" not in piece.__dict__ for piece in alg.pieces)
 
 
 def test_mismatched_truncations_rejected():

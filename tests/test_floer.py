@@ -17,7 +17,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tropmirror.lattice import Fan, Polytope, polytope_from_bundle
+from tropmirror.lattice import (
+    Fan,
+    Polytope,
+    interior_lattice_points,
+    lattice_points,
+    polytope_from_bundle,
+)
 from tropmirror.floer import (
     AssociativityViolation,
     DegenerateTriple,
@@ -103,6 +109,27 @@ def test_floer_group_p2_fixtures():
     assert g33.basis[0].cohomological_degree == 0
 
 
+@pytest.mark.parametrize("fan, phi", [(P2_FAN, (1, 1, 1)), (F1_FAN, (1, 1, 2, 1)),
+                                      (P3_FAN, (1, 1, 1, 1))], ids=["P2", "F1", "P3"])
+def test_basis_is_built_from_the_numerators_on_first_use(fan, phi):
+    # the Fraction generators are the public lattice points, in their order,
+    # and exist only once something reads them
+    Q = polytope_from_bundle(fan, phi)
+    for l1, l2 in ((0, 1), (0, 3), (2, 4), (0, -1), (1, -2), (3, 3)):
+        group = floer_group(Q, l1, l2)
+        assert "basis" not in group.__dict__
+        d = abs(l2 - l1)
+        if l1 == l2:
+            points = [(Fraction(0),) * Q.n]
+        else:
+            points = (lattice_points if l1 < l2 else interior_lattice_points)(Q, d)
+        assert [g.point for g in group.basis] == points
+        assert group.basis is group.basis  # built once
+        assert group.dimension == len(points)
+        assert {(g.l1, g.l2, g.homological_degree) for g in group.basis} == {
+            (l1, l2, 0 if l1 > l2 else Q.n)}
+
+
 def test_floer_group_refinement_matches_dilation():
     Q = p2_Q()
     for j in range(1, 7):
@@ -115,9 +142,11 @@ def test_floer_group_refinement_matches_dilation():
 
 
 def test_floer_group_warns_without_interior_origin():
-    Q = p2_Q().translate((5, 5))
-    with pytest.warns(UserWarning):
-        floer_group(Q, 0, 1)
+    # the origin outside, on a facet, and the whole of a degenerate Q
+    for Q in (p2_Q().translate((5, 5)), polytope_from_bundle(P2_FAN, (0, 1, 1)),
+              polytope_from_bundle(P2_FAN, (0, 0, 0))):
+        with pytest.warns(UserWarning):
+            floer_group(Q, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +355,7 @@ def test_kernel_rejects_generators_outside_the_polytope():
     with pytest.raises(RuntimeError, match="ladder product vanished"):
         _ladder_tables(corner, pieces, 2)
     # a target generator missing from piece 2 is a grid miss, not a silent index
-    holed = pieces[:2] + (FloerGroup(0, 2, Q, pieces[2].basis[1:], pieces[2].numerators[1:]),)
+    holed = pieces[:2] + (FloerGroup(0, 2, Q, pieces[2].numerators[1:]),)
     with pytest.raises(RuntimeError, match="hit no generator"):
         _ladder_tables(Q, holed, 2)
 

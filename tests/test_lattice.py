@@ -800,3 +800,39 @@ def test_column_sweep_matches_box_sweep(fan, phi):
     for poly, d in [(q.dilate(j), 1) for j in range(1, 7)] + [(q, d) for d in range(1, 5)]:
         assert lattice_points(poly, d) == box_sweep(poly, d, strict=False)
         assert interior_lattice_points(poly, d) == box_sweep(poly, d, strict=True)
+
+
+CUBE3_FAN = _join(P1XP1_FAN, P1_FAN)
+CUBE4_FAN = _join(P1XP1_FAN, P1XP1_FAN)
+
+
+@pytest.mark.parametrize("fan, phi", [
+    (P1_FAN, (1, 1)), (P2_FAN, (1, 1, 1)), (P1XP1_FAN, (1, 1, 1, 1)),
+    (F1_FAN, (1, 1, 2, 1)), (P3_FAN, (1, 1, 1, 1)), (P4_FAN, (1,) * 5),
+    (_join(P2_FAN, P2_FAN), (1,) * 6), (CUBE3_FAN, (1,) * 6), (CUBE4_FAN, (1,) * 8),
+    # rational vertices, a non-smooth fan, and an origin off the interior
+    (P2_FAN, (F(1, 2), F(2, 3), 1)), (P112_FAN, (1, 1, 1)), (P2_FAN, (3, -1, 0)),
+    # weakly convex: the flat lift of P^2, the blow-down of F_1 to P^2, and
+    # the tied square and cube
+    (P2_FAN, (0, 0, 0)), (F1_FAN, (1, 2, 1, 1)), (P1XP1_FAN, (1, 0, 1, 0)),
+    (CUBE3_FAN, (1, 0, 0, 1, 0, 0)),
+], ids=lambda x: None if isinstance(x, Fan) else str(x))
+def test_moment_polytope_matches_vertex_enumeration(fan, phi):
+    # the vertices read off the cone gradients, and the rays as the rows,
+    # against the enumeration over every n-subset of halfspaces
+    q = polytope_from_bundle(fan, phi)
+    assert q == Polytope.from_halfspaces(fan.rays, phi)
+    assert all(type(x) is F for v in q.vertices for x in v)
+    assert all(type(b) is F and all(type(x) is int for x in a) for a, b in q.halfspaces)
+
+
+@pytest.mark.parametrize("d", [True, False, 2.0, 0, -1])
+def test_refinement_must_be_a_positive_int(d):
+    # a bool is an int to isinstance, but a JSON-like True is not d = 1
+    q = p2_triangle()
+    for read in (lattice_points, interior_lattice_points):
+        with pytest.raises(ValueError, match="positive integer"):
+            read(q, d)
+    for strict in (False, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            _lattice_count(q, d, strict)

@@ -72,6 +72,16 @@ cat > "$OUT/fans/p1xp1xp1-tied.json" <<'EOF'
 {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], "max_cones": [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]], "phi": ["1", "0", "0", "1", "0", "0"]}
 EOF
 
+# two smooth rank-3 blow-ups: P^3 at a torus-fixed point (the cone
+# {e1, e2, e3} star-subdivided at (1, 1, 1)), and (P^1)^3 along a
+# torus-invariant curve (the 2-cone {e1, e2} star-subdivided at (1, 1, 0))
+cat > "$OUT/fans/p3-blowup-point.json" <<'EOF'
+{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]], "max_cones": [[0, 1, 4], [0, 2, 4], [1, 2, 4], [0, 1, 3], [0, 2, 3], [1, 2, 3]], "phi": ["1", "1", "1", "1", "2"]}
+EOF
+cat > "$OUT/fans/p1xp1xp1-blowup-curve.json" <<'EOF'
+{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 0]], "max_cones": [[0, 2, 6], [1, 2, 6], [0, 5, 6], [1, 5, 6], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]], "phi": ["1", "1", "1", "1", "1", "1", "1"]}
+EOF
+
 T_E8=2980.9579870417283  # repr(math.exp(8.0)): log t = 8
 
 # run CASE FAN SUBCOMMAND [FLAGS...]
@@ -109,6 +119,13 @@ run hilbert-p2-flat p2-flat hilbert
 
 run subdivide-p1xp1xp1-tied p1xp1xp1-tied subdivide
 run tropical-p1xp1xp1 p1xp1xp1 tropical
+
+for fan in p3-blowup-point p1xp1xp1-blowup-curve; do
+    run "subdivide-$fan" "$fan" subdivide
+    run "tropical-$fan" "$fan" tropical
+    run "verify-$fan-J2" "$fan" verify --J 2
+    run "hilbert-$fan-J6" "$fan" hilbert --J 6
+done
 
 # the flat lift has no certified scale: amoeba without --t is a domain error
 run amoeba-p2-flat p2-flat amoeba
