@@ -537,7 +537,12 @@ def _lattice_columns(
 
 @dataclass(frozen=True)
 class Fan:
-    """Rational fan given by primitive rays and maximal cones (ray indices)."""
+    """Rational fan given by primitive rays and maximal cones (ray indices).
+
+    Construction raises MalformedFan for every defect of the data, the two
+    structural ones among them: a maximal cone without n rays, and a ray in
+    no maximal cone.  No reader of a Fan checks them again.
+    """
 
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
@@ -574,8 +579,14 @@ class Fan:
                 raise MalformedFan(f"cone {c} references a missing ray")
             if c in cones[:k]:
                 raise MalformedFan(f"cone {c} is listed twice")
+            if len(c) != n:
+                raise MalformedFan(f"maximal cone {c} does not have {n} rays")
         if not cones:
             raise MalformedFan("fan needs at least one maximal cone")
+        covered = {i for c in cones for i in c}
+        for i in range(len(rays)):
+            if i not in covered:
+                raise MalformedFan(f"ray {i} lies in no maximal cone")
 
     @property
     def n(self) -> int:
@@ -615,8 +626,6 @@ class Fan:
 
         opposite: dict[tuple[int, ...], list[int]] = {}  # ridge -> opposite rays
         for c in self.max_cones:
-            if len(c) != n:
-                return False
             for k in c:
                 opposite.setdefault(tuple(i for i in c if i != k), []).append(k)
         for ridge, ks in opposite.items():
@@ -658,14 +667,7 @@ def _generic_direction(normals: Sequence[Vec], n: int) -> tuple[int, ...]:
 
 def is_smooth(fan: Fan) -> bool:
     """Every maximal cone is unimodular (ray matrix determinant +-1)."""
-    n = fan.n
-    for c in fan.max_cones:
-        if len(c) != n:
-            raise MalformedFan(f"maximal cone {c} does not have {n} rays")
-        d = mat_det(fan.cone_matrix(c))
-        if d not in (1, -1):
-            return False
-    return True
+    return all(mat_det(fan.cone_matrix(c)) in (1, -1) for c in fan.max_cones)
 
 
 def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | None]:
@@ -687,8 +689,6 @@ def _convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | None, li
     vals = [_frac(p) for p in phi]
     grads = []
     for c in fan.max_cones:
-        if len(c) != fan.n:
-            raise MalformedFan(f"maximal cone {c} does not have {fan.n} rays")
         m = solve_square(fan.cone_matrix(c), [vals[i] for i in c])
         if m is None:
             raise MalformedFan(f"cone {c} is degenerate (rays do not span)")
@@ -699,9 +699,7 @@ def _convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | None, li
             if ri in c:
                 continue
             val = dot(m, ray)
-            other = next((cj for cj, cc in enumerate(fan.max_cones) if ri in cc), None)
-            if other is None:
-                raise MalformedFan(f"ray {ri} lies in no maximal cone")
+            other = next(cj for cj, cc in enumerate(fan.max_cones) if ri in cc)
             if val > vals[ri]:
                 return "nonconvex", (ci, other), grads
             if val == vals[ri] and kind == "strict":

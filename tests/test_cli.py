@@ -132,8 +132,9 @@ def test_input_errors_are_not_internal_errors(tmp_path, capsys):
         fan = write_fan(tmp_path, broken, "broken.json")
         assert main([command, "--input", fan, "--out", out]) == 1, (command, broken)
         assert "internal error" not in capsys.readouterr().err
-    # rank 4 is decided, not refused: P4 with a single cone is not complete
-    fan = write_fan(tmp_path, dict(P4, max_cones=[[0, 1, 2, 3]]), "broken.json")
+    # rank 4 is decided, not refused: P4 with one of its five cones dropped
+    # is not complete (with a single cone, ray 4 would lie in no cone)
+    fan = write_fan(tmp_path, dict(P4, max_cones=P4["max_cones"][1:]), "broken.json")
     assert main(["verify", "--input", fan, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "fan is not complete" in err and "internal error" not in err
@@ -183,26 +184,84 @@ def test_internal_error_exit5(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err  # the bug is reported with its origin
 
 
-def test_invalid_parameters_exit1(tmp_path):
+def test_invalid_parameters_exit1(tmp_path, capsys):
     fan = write_fan(tmp_path, P2)
     out = str(tmp_path / "out")
-    for extra in (
-        ["--t", "0.5"],
-        ["--t", "nan"],
-        ["--s", "1.5"],
-        ["--s", "-0.25"],
-        ["--eps", "0"],
-        ["--eps", "-1"],
-        ["--J", "0"],
-        ["--grid", "1"],
-        ["--window=3,-3,0,1"],
-        ["--seed", "-2"],
+    for command, extra in (
+        ("amoeba", ["--t", "0.5"]),
+        ("amoeba", ["--t", "nan"]),
+        ("amoeba", ["--s", "1.5"]),
+        ("amoeba", ["--s", "-0.25"]),
+        ("amoeba", ["--eps", "0"]),
+        ("amoeba", ["--eps", "-1"]),
+        ("verify", ["--J", "0"]),
+        ("hilbert", ["--J", "0"]),
+        ("amoeba", ["--grid", "1"]),
+        ("amoeba", ["--window=3,-3,0,1"]),
+        ("amoeba", ["--seed", "-2"]),
     ):
-        code = main(["amoeba", "--input", fan, "--out", out] + extra)
-        assert code == 1, extra
+        code = main([command, "--input", fan, "--out", out] + extra)
+        assert code == 1, (command, extra)
+        # refused by the flag's own check, not as a flag the command lacks
+        assert f"argument {extra[0].split('=')[0]}: must" in capsys.readouterr().err
     # argparse-level garbage is malformed input, not a crash
     assert main(["amoeba", "--input", fan, "--out", out, "--window=a,b,c,d"]) == 1
     assert main(["frobnicate", "--input", fan, "--out", out]) == 1
+
+
+# the flags each command reads, apart from --input and --out; every command
+# also accepts --seed, and ignores it
+COMMAND_FLAGS = {
+    "subdivide": set(),
+    "tropical": {"--eps"},
+    "amoeba": {"--t", "--s", "--eps", "--grid", "--window"},
+    "verify": {"--J"},
+    "hilbert": {"--J"},
+}
+# a valid value of each flag, so that only the command can refuse it
+FLAG_VALUES = {
+    "--t": "2980.9579870417283",  # log t = 8
+    "--s": "0",
+    "--eps": "0.1",
+    "--J": "2",
+    "--grid": "6",
+    "--window": "-3,3,-3,3",
+    "--seed": "0",
+}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    parser = cli._build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    assert set(commands) == set(COMMAND_FLAGS)
+    settable = 0
+    for name, sub in commands.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {
+            "-h", "--help", "--input", "--out"}
+        assert flags == COMMAND_FLAGS[name] | {"--seed"}, name
+        settable += len(flags)
+    assert settable == 13
+
+
+def test_a_flag_the_command_does_not_read_exits1(tmp_path, capsys):
+    # with a valid value: the command refuses the flag itself.  No prefix
+    # stands for a longer flag, so --s on verify is not --seed
+    fan = write_fan(tmp_path, P2)
+    for command, flags in COMMAND_FLAGS.items():
+        for flag in sorted(FLAG_VALUES.keys() - flags - {"--seed"}):
+            out = tmp_path / f"{command}{flag}"
+            argv = [command, "--input", fan, "--out", str(out), f"{flag}={FLAG_VALUES[flag]}"]
+            assert main(argv) == 1, (command, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_seed_is_accepted_by_every_command(tmp_path):
+    fan = write_fan(tmp_path, P2)
+    for command, flags in COMMAND_FLAGS.items():
+        extra = [f"{flag}={FLAG_VALUES[flag]}" for flag in sorted(flags)]
+        argv = [command, "--input", fan, "--out", str(tmp_path / command), "--seed", "0"]
+        assert main(argv + extra) == 0, command
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +502,51 @@ def test_repeated_cone_is_malformed_exit1(tmp_path, capsys):
         assert "listed twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, defect", [
+    (dict(P2, max_cones=[[0], [1, 2], [0, 2]]), "maximal cone (0,) does not have 2 rays"),
+    (dict(P2, max_cones=[[0, 1]]), "ray 2 lies in no maximal cone"),
+], ids=["one-ray-cone", "ray-in-no-cone"])
+def test_a_structural_fan_defect_exits1_on_every_command(tmp_path, capsys, payload, defect):
+    fan = write_fan(tmp_path, payload)
+    for command in COMMAND_FLAGS:
+        assert main([command, "--input", fan, "--out", str(tmp_path / command)]) == 1, command
+        err = capsys.readouterr().err
+        assert defect in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("payload", [
+    dict(P2, max_cones=[[0, 1], [1, 2]]),
+    {"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]], "phi": ["1", "1"]},
+], ids=["p2-missing-cone", "single-cone"])
+def test_an_incomplete_fan_exits2_on_every_command_that_needs_q(tmp_path, capsys, payload):
+    fan = write_fan(tmp_path, payload)
+    for command in ("tropical", "amoeba", "verify", "hilbert"):
+        out = tmp_path / command
+        assert main([command, "--input", fan, "--out", str(out)]) == 2, command
+        assert "fan is not complete" in capsys.readouterr().err
+        assert os.listdir(out) == [], command  # Q comes before any file
+    # the subdivision of the lifted support needs no Q
+    assert main(["subdivide", "--input", fan, "--out", str(tmp_path / "subdivide")]) == 0
+
+
+def test_no_command_enumerates_the_vertices_of_q(tmp_path, monkeypatch):
+    # Q is read from the fan by polytope_from_bundle on every command
+    from tropmirror.lattice import Polytope
+
+    def refuse(normals, bounds):
+        raise AssertionError("Polytope.from_halfspaces called")
+
+    monkeypatch.setattr(Polytope, "from_halfspaces", staticmethod(refuse))
+    fan = write_fan(tmp_path, P2)
+    out = tmp_path / "tropical"
+    assert main(["tropical", "--input", fan, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "tropical.json").read_bytes()).hexdigest()
+    assert digest == "59826101b24a29de5b77f603feb9c8f9dfd5b689b4ed4fdb33c2b7395b20093d"
+    argv = ["amoeba", "--input", fan, "--out", str(tmp_path / "amoeba"),
+            "--t", FLAG_VALUES["--t"], "--grid", "12"]
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("key, value", [
     ("phi", "111"),  # read character by character, it would be phi = (1, 1, 1)
     ("phi", {"1": 0, "2": 0, "3": 0}),  # iterated, it would be its keys (1, 2, 3)
@@ -466,6 +570,19 @@ def test_json_booleans_are_not_integers_exit1(tmp_path, capsys, key, value, what
     assert main(["hilbert", "--input", fan, "--J", "3", "--out", str(tmp_path / "out")]) == 1
     assert f"{what} is not an integer" in capsys.readouterr().err
     assert not (tmp_path / "out" / "hilbert.csv").exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00{\x00}\x00",  # UTF-16 with its byte-order mark: no UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder recurses
+], ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_fan_files_exit1_on_every_command(tmp_path, capsys, content):
+    fan = tmp_path / "fan.json"
+    fan.write_bytes(content)
+    for command in COMMAND_FLAGS:
+        assert main([command, "--input", str(fan), "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fan file is") and "internal error" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,10 @@ def test_smoothness_frozen_cases():
 
 
 def test_smoothness_needs_full_cones():
-    bad = Fan(((1, 0), (0, 1), (-1, -1)), ((0,), (1, 2), (0, 2)))
-    with pytest.raises(MalformedFan):
-        is_smooth(bad)
+    # a cone of one ray in rank 2 is refused when the fan is built, so
+    # is_smooth, like every other reader, never sees one
+    with pytest.raises(MalformedFan, match="does not have 2 rays"):
+        Fan(((1, 0), (0, 1), (-1, -1)), ((0,), (1, 2), (0, 2)))
 
 
 def test_fan_validation():
@@ -251,7 +252,9 @@ def _cyclic_fan(rays):
 def test_completeness_low_dimensions():
     assert Fan(((1,), (-1,)), ((0,), (1,))).is_complete()
     assert not Fan(((1,),), ((0,),)).is_complete()  # the half-line
-    assert not Fan(((1,), (-1,)), ((0,),)).is_complete()
+    # a ray in no cone is malformed input, not an incomplete fan
+    with pytest.raises(MalformedFan, match="ray 1 lies in no maximal cone"):
+        Fan(((1,), (-1,)), ((0,),))
     assert _cyclic_fan(((1, 0), (0, 1), (-1, -1))).is_complete()
     # two rays, one cone
     assert not Fan(((2, -1), (3, 1)), ((0, 1),)).is_complete()
@@ -308,10 +311,20 @@ def test_plane_completeness_matches_coverage_oracle():
                 cones = [(0,)]
         else:
             cones = rng.sample(pairs, rng.randint(1, len(pairs)))
+        # three defects of the data are malformed input, not an incomplete
+        # fan: a repeated cone (two rays make the cycle (0, 1), (0, 1)), a
+        # cone of one ray (one ray makes the cycle (0,)), and a ray in no
+        # cone (a dropped or sampled cone can leave one out)
         if len(set(cones)) < len(cones):
-            # a repeated cone (two rays make the cycle (0, 1), (0, 1)) is
-            # malformed input, not an incomplete fan
-            with pytest.raises(MalformedFan, match="listed twice"):
+            defect = "listed twice"
+        elif any(len(c) != 2 for c in cones):
+            defect = "does not have 2 rays"
+        elif len({i for c in cones for i in c}) < len(rays):
+            defect = "lies in no maximal cone"
+        else:
+            defect = None
+        if defect is not None:
+            with pytest.raises(MalformedFan, match=defect):
                 Fan(tuple(rays), tuple(cones))
             continue
         fan = Fan(tuple(rays), tuple(cones))

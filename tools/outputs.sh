@@ -82,6 +82,12 @@ cat > "$OUT/fans/p1xp1xp1-blowup-curve.json" <<'EOF'
 {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 0]], "max_cones": [[0, 2, 6], [1, 2, 6], [0, 5, 6], [1, 5, 6], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]], "phi": ["1", "1", "1", "1", "1", "1", "1"]}
 EOF
 
+# P^2 with the cone {v1, v2} dropped: every ray still lies in a cone, so the
+# fan is well formed, but it is not complete
+cat > "$OUT/fans/p2-missing-cone.json" <<'EOF'
+{"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [0, 2]], "phi": ["1", "1", "1"]}
+EOF
+
 T_E8=2980.9579870417283  # repr(math.exp(8.0)): log t = 8
 
 # run CASE FAN SUBCOMMAND [FLAGS...]
@@ -116,6 +122,10 @@ run hilbert-p3-J10 p3 hilbert --J 10
 run hilbert-f1-J40 f1 hilbert --J 40
 run hilbert-p4-J6 p4 hilbert --J 6
 run hilbert-p2-flat p2-flat hilbert
+
+# an incomplete fan: a domain error (exit 2) wherever Q is needed
+run verify-p2-missing-cone p2-missing-cone verify
+run hilbert-p2-missing-cone p2-missing-cone hilbert
 
 run subdivide-p1xp1xp1-tied p1xp1xp1-tied subdivide
 run tropical-p1xp1xp1 p1xp1xp1 tropical
