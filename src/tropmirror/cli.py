@@ -28,6 +28,8 @@ Importing this module loads the lattice layer alone, which holds every
 exception `main` maps to an exit code; each command imports its own modules
 when it runs, so `hilbert` starts without numpy or the numeric layers.
 
+A warning prints as one line, "warning: <message>", naming no source path.
+
 Exit codes: 0 success, 1 malformed input or invalid parameters (a bad flag
 value, or a flag the command does not take), 2 domain error (incomplete
 fan, non-convex support function, degenerate polytope, or a weakly convex
@@ -45,6 +47,7 @@ import math
 import os
 import sys
 import traceback
+import warnings
 from fractions import Fraction
 
 from .lattice import (
@@ -132,7 +135,7 @@ def cmd_subdivide(args: argparse.Namespace) -> int:
     from .tropical import HeightFunction, regular_subdivision
 
     fan, phi = load_fan_json(args.input)
-    kind = require_convex(fan, phi)
+    kind, _ = require_convex(fan, phi)
     h = HeightFunction.from_bundle(fan, phi)
     sub = regular_subdivision(h)
     payload = {
@@ -499,6 +502,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits on --help (0) and bad usage (2)
         return EXIT_OK if e.code == 0 else EXIT_MALFORMED
+    shown = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command][0](args)
@@ -512,6 +517,8 @@ def main(argv=None) -> int:
         print(f"internal error in {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 
 from .lattice import (
     Polytope,
-    _FractionCache,
+    _fraction_tuples,
     _lattice_count,
     _lattice_numerators,
     vec,
@@ -78,10 +78,9 @@ class FloerGroup:
 
     @cached_property
     def basis(self) -> tuple[FloerGenerator, ...]:  # the generators as Fraction points
-        frac = _FractionCache(abs(self.l2 - self.l1) or 1)
         hom = 0 if self.l1 > self.l2 else self.polytope.n
-        return tuple(FloerGenerator(self.l1, self.l2, tuple(frac[k] for k in p), hom)
-                     for p in self.numerators)
+        return tuple(FloerGenerator(self.l1, self.l2, p, hom)
+                     for p in _fraction_tuples(self.numerators, abs(self.l2 - self.l1) or 1))
 
     @property
     def dimension(self) -> int:

@@ -12,18 +12,19 @@ convexity pass solves (`polytope_from_bundle`).  The hull is one facet
 pass, `hull_facets`, that records which points lie on each facet: the
 vertices are read from those index sets, and so are the cells and faces of
 the tropical layer's regular subdivision, the lower hull of a height
-function's lifted support.  Lattice points come from one integer column
-sweep, `_lattice_columns`, that gives each column of the box its interval
-of last coordinates by floor division.
-Three readers sit on it.  The public `lattice_points` and
-`interior_lattice_points` return the points as `Fraction` tuples.  The
-private `_lattice_numerators` returns the integer numerators k of the
-points k/d, which the Floer ladder, the ring bases and the isomorphism
-check read.  The private `_lattice_count` returns only how many points
-there are, the sum of the column lengths, and builds none of them: the
-dilate-and-count values behind `hilbert` and the Ehrhart fit
-(`hilbert_function`, `interior_counts`) and both Serre counts of `verify`
-are its counts, and `hilbert` needs no module beyond this one.
+function's lifted support.  A lower-dimensional hull is the same pass on a
+coordinate projection, and the recession test asks whether the origin is
+interior to a hull.  Lattice points come from one integer column sweep,
+`_lattice_columns`, that gives each column of the box its interval of last
+coordinates by floor division.  `_lattice_numerators` lists the integer
+numerators k of the points k/d, which the Floer ladder, the ring bases and
+the isomorphism check read; `lattice_points`, `interior_lattice_points`
+and the Floer groups' `basis` are the same points as `Fraction` tuples.
+`_lattice_count` returns only how many points there are, the sum of the
+column lengths, and builds none of them: the dilate-and-count values
+behind `hilbert` and the Ehrhart fit (`hilbert_function`,
+`interior_counts`) and both Serre counts of `verify` are its counts, and
+`hilbert` needs no module beyond this one.
 """
 
 from __future__ import annotations
@@ -238,10 +239,6 @@ class Polytope:
         p = vec(point)
         return all(dot(a, p) < b for a, b in self.halfspaces)
 
-    def same_set(self, other: "Polytope") -> bool:
-        """Geometric equality (same vertex set), ignoring H-rep presentation."""
-        return self.n == other.n and self.vertices == other.vertices
-
     # -- transforms ---------------------------------------------------
     def dilate(self, k) -> "Polytope":
         k = _frac(k)
@@ -297,27 +294,14 @@ class Polytope:
 def _recession_nontrivial(rows: list[Vec], n: int) -> bool:
     """Is there d != 0 with <a_i, d> <= 0 for all i?  Exact for every n.
 
-    Every candidate is tested against all rows, so True is always right.
-    Fewer than n rows leave a nonzero nullspace, which lies in the cone.
-    Otherwise, if the rows have rank r < n, some n - 1 rows contain r
-    independent ones; that subset's nullspace is the lineality space of
-    the cone, nonzero, so its basis vectors pass.  If r = n the cone is
-    pointed, and when it is not {0} it has an extreme ray: a direction
-    where n - 1 independent rows are tight, so that subset's nullspace is
-    the line through it, and one of its two signs passes.
+    Such a d exists iff the origin is not interior to the hull P of the
+    rows (Farkas).  If it is, eps d lies in P for a small eps > 0, and
+    <eps d, d> > 0 is a convex combination of the <a_i, d>, so some row is
+    positive on d.  If it is not, a hyperplane through the origin separates
+    it from P, supports P there, or, for a lower-dimensional P through the
+    origin, holds P; its normal on the side away from P is such a d.
     """
-    if len(rows) < n:
-        return True
-    # candidate extreme ray directions come from (n-1)-subsets of normals
-    cands: list[Vec] = []
-    for idx in itertools.combinations(range(len(rows)), n - 1):
-        for d in nullspace([rows[i] for i in idx], n):
-            cands.append(d)
-            cands.append(tuple(-x for x in d))
-    for d in cands:
-        if any(x != 0 for x in d) and all(dot(a, d) <= 0 for a in rows):
-            return True
-    return False
+    return not hull(rows).contains_strictly((0,) * n)
 
 
 def hull(points: Sequence[Sequence]) -> Polytope:
@@ -355,20 +339,22 @@ def hull_facets(
     Points spanning R^n: each facet holds n affinely independent points, so
     the hyperplanes through n-subsets with every point on one side are
     exactly the facets.  An n-subset that lies in a facet already found
-    spans that facet again and is skipped.  Points spanning an affine
-    subspace V of dimension d < n: the facets are those of the points'
-    coordinates in a chart of V, pulled back, and V itself as pairs of
-    opposite rows that hold every point.  The chart keeps the points in
-    order, so the chart's index sets are the input's.  At d = 0 the chart
-    has no coordinate and no facet, and V's rows are the unit vectors.
+    spans that facet again and is skipped.
+
+    Points spanning an affine subspace V of dimension d < n: V is pairs of
+    opposite rows that hold every point, and the other facets are those of
+    the points projected onto the pivot columns `cols` of a basis of V,
+    written back with zeros off `cols`.  The basis has full rank on `cols`,
+    so the projection is one-to-one on V and keeps the faces, the point
+    order and the index sets, and a row zero off `cols` has the same value
+    at p as at its projection.  At d = 0 V's rows are the unit vectors.
     """
     n = len(points[0])
     p0 = points[0]
     diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
     # the first independent differences: the pivots of the matrix they are the columns of
     basis = [diffs[j] for j in _rref(list(zip(*diffs)), len(diffs))[1]]
-    d = len(basis)
-    if d == n:
+    if len(basis) == n:
         found: dict[tuple[tuple[int, ...], Fraction], frozenset] = {}
         for idx in itertools.combinations(range(len(points)), n):
             if any(on.issuperset(idx) for on in found.values()):
@@ -389,28 +375,18 @@ def hull_facets(
                 row = primitive_row(a, b) if hi == 0 else primitive_row([-x for x in a], -b)
                 found[row] = frozenset(i for i, v in enumerate(vals) if v == 0)
         return sorted(found.items())
-    # chart: the basis is invertible on its d pivot columns, and one
-    # elimination of those columns, augmented by every (p - p0)|cols, gives
-    # the coordinates lam of each p = p0 + sum lam_j basis_j
-    cols = _rref(basis, n)[1]
-    sq = [[row[c] for c in cols] for row in basis]
-    red = _rref([[basis[j][c] for j in range(d)] + [p[c] - p0[c] for p in points]
-                 for c in cols], d)[0]
-    chart = [tuple(r[d + i] for r in red) for i in range(len(points))]
     everyone = frozenset(range(len(points)))
     facets = []
     for a in nullspace(basis, n):
         pa = primitive(a)
         b = dot(pa, p0)
         facets += [((pa, b), everyone), ((tuple(-x for x in pa), -b), everyone)]
-    # lam = M^{-1} (p - p0)|cols with M = sq^T, so a chart facet
-    # <c, lam> <= b reads <y, (p - p0)|cols> <= b where sq y = c
-    for (c, b), on in hull_facets(chart):
-        y = solve_square(sq, c)
-        amb = [Fraction(0)] * n
-        for j, col in enumerate(cols):
-            amb[col] = y[j]
-        facets.append((primitive_row(amb, b + dot(amb, p0)), on))
+    cols = _rref(basis, n)[1]
+    for (c, b), on in hull_facets([tuple(p[k] for k in cols) for p in points]):
+        row = [0] * n
+        for k, x in zip(cols, c):
+            row[k] = x
+        facets.append(((tuple(row), b), on))
     return sorted(facets)
 
 
@@ -419,17 +395,14 @@ def hull_facets(
 # ---------------------------------------------------------------------------
 
 def lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
-    """Points of poly in the (1/d)-refined lattice, in lexicographic order.
-
-    d=1 gives ordinary lattice points.  The points are found column by
-    column with exact integer arithmetic, so the order is deterministic.
-    """
-    return _fraction_points(poly, d, strict=False)
+    """Points of poly in the (1/d)-refined lattice (d=1: ordinary lattice
+    points), in the lexicographic order of the exact integer column sweep."""
+    return _fraction_tuples(_lattice_numerators(poly, d, strict=False), d)
 
 
 def interior_lattice_points(poly: Polytope, d: int = 1) -> list[Vec]:
     """Strictly interior points of the (1/d)-lattice; needs full dimension."""
-    return _fraction_points(poly, d, strict=True)
+    return _fraction_tuples(_lattice_numerators(poly, d, strict=True), d)
 
 
 def hilbert_function(Q: Polytope, j_max: int) -> list[int]:
@@ -449,41 +422,21 @@ def interior_counts(Q: Polytope, j_max: int) -> list[int]:
     return [0] + [_lattice_count(Q.dilate(j), 1, strict=True) for j in range(1, j_max + 1)]
 
 
-class _FractionCache(dict):
-    """k -> Fraction(k, d), each built on first use."""
-
-    def __init__(self, d: int):
-        super().__init__()
-        self.d = d
-
-    def __missing__(self, k: int) -> Fraction:
-        self[k] = x = Fraction(k, self.d)
-        return x
-
-
-def _fraction_points(poly: Polytope, d: int, strict: bool) -> list[Vec]:
-    """The points k/d of the columns as `Fraction` tuples, in column order;
-    each Fraction(k, d) is built once per call."""
-    columns = _lattice_columns(poly, d, strict)
-    frac = _FractionCache(d)
-    out: list[Vec] = []
-    for head, lo, hi in columns:
-        fhead = tuple(frac[k] for k in head)
-        out.extend(fhead + (frac[k],) for k in range(lo, hi + 1))
-    return out
-
-
 def _lattice_numerators(poly: Polytope, d: int, strict: bool) -> list[tuple[int, ...]]:
-    """The numerators k of the points k/d, as int tuples in column order:
-    the same points, in the same order, as the public readers."""
+    """The numerators k of the points k/d, as int tuples in column order;
+    the public readers are these points as `Fraction` tuples."""
     return [head + (k,) for head, lo, hi in _lattice_columns(poly, d, strict)
             for k in range(lo, hi + 1)]
 
 
+def _fraction_tuples(numerators: Iterable[Sequence[int]], d: int) -> list[Vec]:
+    """The points k/d of the integer numerators k, as `Fraction` tuples."""
+    return [tuple(Fraction(x, d) for x in k) for k in numerators]
+
+
 def _lattice_count(poly: Polytope, d: int, strict: bool) -> int:
-    """How many points `_fraction_points` and `_lattice_numerators` list:
-    the sum of the column lengths hi - lo + 1, with no point built.  It
-    raises where they raise."""
+    """How many points `_lattice_numerators` lists, and where it raises: the
+    sum of the column lengths hi - lo + 1, with no point built."""
     return sum(hi - lo + 1 for _, lo, hi in _lattice_columns(poly, d, strict))
 
 
@@ -709,14 +662,10 @@ def _convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | None, li
     return kind, witness, grads
 
 
-def require_convex(fan: Fan, phi: Sequence) -> str:
-    """support_convexity's verdict, "strict" or "weak"; NotConvex, naming the
-    offending cone pair, when phi is not even weakly convex."""
-    return _require_convex(fan, phi)[0]
-
-
-def _require_convex(fan: Fan, phi: Sequence) -> tuple[str, list[Vec]]:
-    """require_convex's verdict, with _convexity's cone gradients."""
+def require_convex(fan: Fan, phi: Sequence) -> tuple[str, list[Vec]]:
+    """support_convexity's verdict, "strict" or "weak", and phi's gradient
+    m_sigma on each maximal cone sigma, in cone order; NotConvex, naming
+    the offending cone pair, when phi is not even weakly convex."""
     kind, witness, grads = _convexity(fan, phi)
     if kind == "nonconvex":
         raise NotConvex("support function not convex across cone pair {} and {}".format(*witness))
@@ -738,7 +687,7 @@ def polytope_from_bundle(fan: Fan, phi: Sequence) -> Polytope:
     """
     if not fan.is_complete():
         raise Unbounded("fan is not complete; moment polytope would be unbounded")
-    _, grads = _require_convex(fan, phi)
+    _, grads = require_convex(fan, phi)
     verts = set(grads)
     return Polytope(fan.n, tuple(verts), tuple(sorted(zip(fan.rays, map(_frac, phi)))),
                     affine_dim(verts))

@@ -84,10 +84,6 @@ class HeightFunction:
         zero = (0,) * fan.n
         return cls((zero,) + fan.rays, (Fraction(0),) + tuple(Fraction(p) for p in phi))
 
-    def zero_index(self) -> int | None:
-        zero = (0,) * self.n
-        return self.points.index(zero) if zero in self.points else None
-
 
 # ---------------------------------------------------------------------------
 # regular subdivisions (exact lower hull)
@@ -313,10 +309,10 @@ class TropicalComplex:
 
     def moment_polytope(self) -> Polytope | None:
         """The bounded component of the origin, as an exact polytope."""
-        zi = self.height.zero_index()
-        if zi is None:
+        zero = (0,) * self.n
+        if zero not in self.height.points:
             return None
-        comp = self.components[zi]
+        comp = self.components[self.height.points.index(zero)]
         return Polytope.from_halfspaces(list(comp.normals), list(comp.bounds))
 
 

@@ -481,6 +481,54 @@ def test_verify_unbounded_fan_exit2(tmp_path):
     assert main(["verify", "--input", fan, "--out", str(tmp_path / "o")]) == 2
 
 
+# Q with a vertex that is not integral: P(1,1,2) with vertex (1, -3/2), and
+# P^2 with phi = (1/2, 1/3, 1).  Their interior counts are quasi-polynomials
+# in j, which a fitted polynomial misses (it read 3, 18, 46 on P(1,1,2))
+P112_HALF = {"rays": [[1, 0], [0, 1], [-1, -2]], "max_cones": [[0, 1], [1, 2], [0, 2]],
+             "phi": ["1", "1", "2"]}
+P2_THIRDS = dict(P2, phi=["1/2", "1/3", "1"])
+
+
+@pytest.mark.parametrize("payload, duals", [
+    (P112_HALF, [2, 16, 42]), (P2_THIRDS, [1, 3, 10]),
+], ids=["P112", "P2-thirds"])
+def test_verify_passes_on_a_non_lattice_polytope(tmp_path, payload, duals):
+    from tropmirror.coordring import NonLatticePolytope
+
+    fan = write_fan(tmp_path, payload)
+    out = tmp_path / "out"
+    with pytest.warns(NonLatticePolytope):
+        assert main(["verify", "--input", fan, "--J", "3", "--out", str(out)]) == 0
+    data = json.loads((out / "verify.json").read_text())
+    assert data["verdict"] == data["serre"]["verdict"] == "pass"
+    assert [(r["refine"], r["dilate"], r["reciprocity"]) for r in data["serre"]["rows"]] == [
+        (d, d, None) for d in duals]
+    assert "non-integral vertex" in data["serre"]["note"]
+
+
+P2_ORIGIN_ON_BOUNDARY = dict(P2, phi=["1", "1", "0"])
+
+
+@pytest.mark.parametrize("payload, line", [
+    (P112_HALF, "warning: polytope has non-integral vertices; ring built from dilate counts"),
+    (P2_ORIGIN_ON_BOUNDARY, "warning: polytope is not full-dimensional with the origin "
+     "interior; twisted-section geometry degenerates"),
+], ids=["non-lattice", "origin-not-interior"])
+def test_a_warning_prints_as_one_line_without_a_path(tmp_path, payload, line):
+    # in a fresh interpreter with the default filters, as a user runs it:
+    # stderr names no file of the checkout, so two checkouts print the same
+    fan = write_fan(tmp_path, payload)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "tropmirror.cli", "verify", "--J", "2",
+         "--input", fan, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == line + "\n"
+
+
 def test_half_plane_fan_is_not_complete_exit2(tmp_path, capsys):
     # every pair of three rays in the closed half-plane y <= 0 is a cone
     half_plane = {

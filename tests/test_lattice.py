@@ -38,6 +38,7 @@ from tropmirror.lattice import (
     is_smooth,
     lattice_points,
     mat_rank,
+    nullspace,
     polytope_from_bundle,
     solve_square,
     support_convexity,
@@ -120,6 +121,29 @@ def oracle_contains_2d(hull_ccw, p):
         if cr < 0:
             return False
     return True
+
+
+def oracle_recession_direction(rows, n):
+    """A d != 0 with <a, d> <= 0 for every row a, or None: the extreme-ray
+    search over (n - 1)-subsets of the rows that `from_halfspaces` ran
+    before its recession test became a hull question.
+
+    Fewer than n rows leave a nonzero nullspace, which lies in the cone.
+    Otherwise, if the rows have rank r < n, some n - 1 rows hold r
+    independent ones, and that subset's nullspace is the cone's lineality
+    space, nonzero.  If r = n the cone is pointed, and when it is not {0}
+    it has an extreme ray, where n - 1 independent rows are tight: the
+    line through it is that subset's nullspace, and one of its two signs
+    is in the cone.
+    """
+    if len(rows) < n:
+        return nullspace(rows, n)[0]
+    for idx in itertools.combinations(range(len(rows)), n - 1):
+        for d in nullspace([rows[i] for i in idx], n):
+            for cand in (d, tuple(-x for x in d)):
+                if any(cand) and all(dot(a, cand) <= 0 for a in rows):
+                    return cand
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +695,55 @@ def test_solve_square_rejects_non_square_systems():
             solve_square(rows, rhs)
 
 
+@st.composite
+def halfspace_rows(draw):
+    """n in 1..4 and one to four integer rows, zero and repeated rows
+    allowed.  A "lineality" draw zeroes the last coordinate of every row
+    (the e_n axis recedes both ways).  An "orthant" draw adds the unit rows
+    and makes every other row nonnegative (the negative orthant recedes).
+    A "simplex" draw adds the rows of P^n's polytope but one, which leaves
+    a ray that the drawn rows may or may not close: most bounded draws are
+    of this kind."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["free", "lineality", "orthant", "simplex", "simplex"]))
+    lo = 0 if kind == "orthant" else -2
+    rows = draw(st.lists(st.tuples(*[st.integers(lo, 2)] * n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if kind == "lineality":
+        rows = [r[:-1] + (0,) for r in rows]
+    if kind == "orthant":
+        rows += _units(n)
+    if kind == "simplex":
+        simplex = _units(n) + [(-1,) * n]
+        del simplex[draw(st.integers(0, n))]
+        rows += simplex
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(halfspace_rows())
+@example((3, [(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]))  # bounded
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]))  # lineality: the e3 axis
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))  # the negative orthant
+@example((2, [(0, 0)]))
+def test_from_halfspaces_is_unbounded_exactly_when_the_oracle_finds_a_direction(case):
+    # bounds of 1 keep the origin strictly inside every row with a nonzero
+    # normal, so the region is never empty and bounded means full-dimensional
+    n, rows = case
+    d = oracle_recession_direction(rows, n)
+    if d is None:
+        assert Polytope.from_halfspaces(rows, [1] * len(rows)).dim == n
+    else:
+        assert any(d) and all(dot(a, d) <= 0 for a in rows)
+        with pytest.raises(Unbounded):
+            Polytope.from_halfspaces(rows, [1] * len(rows))
+
+
 def test_from_halfspaces_roundtrip():
     q = p2_triangle()
     again = Polytope.from_halfspaces([h[0] for h in q.halfspaces], [h[1] for h in q.halfspaces])
-    assert again.same_set(q)
+    assert again.vertices == q.vertices
 
 
 # ---------------------------------------------------------------------------
@@ -791,12 +860,14 @@ P112_MIRROR_FAN = Fan(((1, 0), (0, -1), (-1, 2)), ((0, 1), (1, 2), (0, 2)))
 
 def test_counts_build_no_points(monkeypatch):
     # hilbert and the Ehrhart fit count the dilates jQ from their columns:
-    # no Fraction point is built.  P^2 is 3 and P^3 is 4 times the
-    # unimodular simplex, so the counts are C(mj + n, n) and C(mj - 1, n)
-    def no_points(*args):
-        raise AssertionError("a count built Fraction points")
+    # no point list is built, of numerators or of Fractions.  P^2 is 3 and
+    # P^3 is 4 times the unimodular simplex, so the counts are
+    # C(mj + n, n) and C(mj - 1, n)
+    def no_points(*args, **kwargs):
+        raise AssertionError("a count built a point list")
 
-    monkeypatch.setattr(lattice, "_fraction_points", no_points)
+    monkeypatch.setattr(lattice, "_lattice_numerators", no_points)
+    monkeypatch.setattr(lattice, "_fraction_tuples", no_points)
     for fan, n, m, J in ((P2_FAN, 2, 3, 6), (P3_FAN, 3, 4, 4)):
         q = polytope_from_bundle(fan, (1,) * len(fan.rays))
         assert hilbert_function(q, J) == [math.comb(m * j + n, n) for j in range(J + 1)]
