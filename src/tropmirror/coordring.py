@@ -92,7 +92,11 @@ def _is_lattice(Q: Polytope) -> bool:
 
 def ehrhart_polynomial(Q: Polytope) -> tuple[Fraction, ...]:
     """Coefficients (c0..cn) of the degree-n counting polynomial, fitted
-    exactly from the n+1 values at j = 0..n."""
+    exactly from the n+1 values at j = 0..n.  ValueError for a Q with a
+    non-integral vertex, whose counts are a quasi-polynomial (Beck & Robins,
+    Computing the Continuous Discretely, ch. 3) that no fit reproduces."""
+    if not _is_lattice(Q):
+        raise ValueError("Q has a non-integral vertex: its counts are a quasi-polynomial")
     n = Q.n
     values = hilbert_function(Q, n)
     rows = [[Fraction(j) ** e for e in range(n + 1)] for j in range(n + 1)]

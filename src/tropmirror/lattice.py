@@ -3,33 +3,32 @@
 Everything in this module is exact and no floating point is used anywhere:
 the geometry (vertices, halfspace bounds, determinants) is in
 `fractions.Fraction`, and normals are primitive integer vectors.  Each
-algorithm is one algorithm for every dimension n >= 1: the convex hull, the
-vertex enumeration with its recession test, and the fan completeness test
-are exact for every n (their docstrings give the proofs), at a cost that
-grows with the number of n-subsets of their input.  A fan's moment polytope
-needs no vertex enumeration: its vertices are the cone gradients that the
-convexity pass solves (`polytope_from_bundle`).  The hull is one facet
-pass, `hull_facets`, that records which points lie on each facet: the
-vertices are read from those index sets, and so are the cells and faces of
-the tropical layer's regular subdivision, the lower hull of a height
-function's lifted support.  A lower-dimensional hull is the same pass on a
-coordinate projection, and the recession test asks whether the origin is
-interior to a hull.  Lattice points come from one integer column sweep,
-`_lattice_columns`, that gives each column of the box its interval of last
-coordinates by floor division.  `_lattice_numerators` lists the integer
-numerators k of the points k/d, which the Floer ladder, the ring bases and
-the isomorphism check read; `lattice_points`, `interior_lattice_points`
-and the Floer groups' `basis` are the same points as `Fraction` tuples.
-`_lattice_count` returns only how many points there are, the sum of the
-column lengths, and builds none of them: the dilate-and-count values
-behind `hilbert` and the Ehrhart fit (`hilbert_function`,
-`interior_counts`) and both Serre counts of `verify` are its counts, and
-`hilbert` needs no module beyond this one.
+algorithm is one algorithm for every dimension n >= 1: the convex hull and
+the fan completeness test are exact for every n (their docstrings give the
+proofs), at a cost that grows with the number of n-subsets of their input.
+No polytope is built from halfspaces by vertex enumeration: a fan's moment
+polytope has the cone gradients that the convexity pass solves as its
+vertices (`polytope_from_bundle`), and the tropical layer reads the
+component of the origin off the cells of its subdivision.  The hull is one
+facet pass, `hull_facets`, that records which points lie on each facet:
+the vertices are read from those index sets, and so are the cells and
+faces of the tropical layer's regular subdivision, the lower hull of a
+height function's lifted support.  A lower-dimensional hull is the same
+pass on a coordinate projection.  Lattice points come from one integer
+column sweep, `_lattice_columns`, that gives each column of the box its
+interval of last coordinates by floor division.  `_lattice_numerators`
+lists the integer numerators k of the points k/d, which the Floer ladder,
+the ring bases and the isomorphism check read; `lattice_points`,
+`interior_lattice_points` and the Floer groups' `basis` are the same points
+as `Fraction` tuples.  `_lattice_count` returns only how many points there
+are, the sum of the column lengths, and builds none of them: the
+dilate-and-count values behind `hilbert` and the Ehrhart fit
+(`hilbert_function`, `interior_counts`) and both Serre counts of `verify`
+are its counts, and `hilbert` needs no module beyond this one.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,43 +264,6 @@ class Polytope:
             (min(v[i] for v in self.vertices), max(v[i] for v in self.vertices))
             for i in range(self.n)
         ]
-
-    @staticmethod
-    def from_halfspaces(normals: Sequence[Sequence], bounds: Sequence) -> "Polytope":
-        """Build the polytope {y : <a_i, y> <= b_i}; exact vertex enumeration.
-
-        Raises Unbounded if the recession cone is nontrivial and ValueError
-        if the region is empty.
-        """
-        n = len(normals[0])
-        rows = [vec(a) for a in normals]
-        bs = [_frac(b) for b in bounds]
-        if _recession_nontrivial(rows, n):
-            raise Unbounded("halfspace intersection has a nontrivial recession cone")
-        verts: set[Vec] = set()
-        for idx in itertools.combinations(range(len(rows)), n):
-            sol = solve_square([rows[i] for i in idx], [bs[i] for i in idx])
-            if sol is None:
-                continue
-            if all(dot(a, sol) <= b for a, b in zip(rows, bs)):
-                verts.add(sol)
-        if not verts:
-            raise ValueError("halfspace intersection is empty")
-        hs = tuple(sorted({primitive_row(a, b) for a, b in zip(rows, bs) if any(a)}))
-        return Polytope(n, tuple(verts), hs, affine_dim(verts))
-
-
-def _recession_nontrivial(rows: list[Vec], n: int) -> bool:
-    """Is there d != 0 with <a_i, d> <= 0 for all i?  Exact for every n.
-
-    Such a d exists iff the origin is not interior to the hull P of the
-    rows (Farkas).  If it is, eps d lies in P for a small eps > 0, and
-    <eps d, d> > 0 is a convex combination of the <a_i, d>, so some row is
-    positive on d.  If it is not, a hyperplane through the origin separates
-    it from P, supports P there, or, for a lower-dimensional P through the
-    origin, holds P; its normal on the side away from P is such a d.
-    """
-    return not hull(rows).contains_strictly((0,) * n)
 
 
 def hull(points: Sequence[Sequence]) -> Polytope:
@@ -558,35 +520,32 @@ class Fan:
         <C, v> for the ridge's cofactor vector C, a nonzero multiple of N; a
         zero, or a ridge of dependent rays (no N), is a degenerate cone.
         Then the number of cones containing a generic direction (one off
-        every hyperplane spanned by n - 1 rays) is the same everywhere: a
-        path between two generic directions can cross those hyperplanes one
-        at a time, off every face of dimension n - 2, and at each crossing
-        the cones it leaves and enters pair up by the ridge they meet it in,
-        one of each pair on each side.  So that count is the degree of the
-        cones over the sphere of directions, and the cones cover R^n once,
-        as a complete fan's do, iff it is 1.  `_generic_direction` gives one
-        such direction from the normals of all (n - 1)-subsets of rays,
-        which the ridge test shares; each is computed on first use.  In
-        n = 1 the one ridge is the empty set and its hyperplane is the
-        origin.
+        every ridge's hyperplane) is the same everywhere.  Any n - 1 rays of
+        a maximal cone span one of its ridges, so a generic direction has
+        no zero coordinate in any cone's ray basis: it is interior to a
+        cone or outside it, never on its boundary.  A path between two
+        generic directions can cross the ridges' hyperplanes one at a time,
+        off every face of dimension n - 2, and only a crossing inside a
+        ridge changes the count; there the cones it leaves and enters pair
+        up by that ridge, one of each pair on each side.  So that count is
+        the degree of the cones over the sphere of directions, and the cones
+        cover R^n once, as a complete fan's do, iff it is 1.
+        `_generic_direction` gives one such direction from the ridge normals
+        the ridge test has computed.  In n = 1 the one ridge is the empty
+        set and its hyperplane is the origin.
         """
         n = self.n
-
-        @functools.cache
-        def normal(idx: tuple[int, ...]) -> Vec | None:
-            ns = nullspace([self.rays[i] for i in idx], n)
-            return ns[0] if len(ns) == 1 else None
-
         opposite: dict[tuple[int, ...], list[int]] = {}  # ridge -> opposite rays
         for c in self.max_cones:
             for k in c:
                 opposite.setdefault(tuple(i for i in c if i != k), []).append(k)
+        normals = []
         for ridge, ks in opposite.items():
-            N = normal(ridge) if len(ks) == 2 else None
-            if N is None or dot(N, self.rays[ks[0]]) * dot(N, self.rays[ks[1]]) >= 0:
+            ns = nullspace([self.rays[i] for i in ridge], n) if len(ks) == 2 else []
+            if len(ns) != 1 or dot(ns[0], self.rays[ks[0]]) * dot(ns[0], self.rays[ks[1]]) >= 0:
                 return False
-        subsets = itertools.combinations(range(len(self.rays)), n - 1)
-        w = _generic_direction([N for N in map(normal, subsets) if N is not None], n)
+            normals.append(ns[0])
+        w = _generic_direction(normals, n)
         columns = ([[self.rays[i][k] for i in c] for k in range(n)] for c in self.max_cones)
         return sum(all(x > 0 for x in solve_square(m, w)) for m in columns) == 1
 
@@ -607,7 +566,7 @@ def _exact_int(x, what: str) -> int:
 
 def _generic_direction(normals: Sequence[Vec], n: int) -> tuple[int, ...]:
     """First w = (1, k, ..., k^(n-1)), k = 1, 2, ..., off every hyperplane
-    whose normal is given: the hyperplanes spanned by n - 1 rays.
+    whose normal is given: the hyperplanes of a fan's ridges.
 
     Each normal dotted with w is a nonzero polynomial of degree at most
     n - 1 in k, so every hyperplane rules out at most n - 1 values of k.

@@ -5,10 +5,13 @@ transform, faces and complement components of the tropical hypersurface) is
 exact over Q: the subdivision is the lower hull of the lifted support, read
 from one exact `lattice.hull_facets` pass over the points (alpha, nu(alpha)),
 whose facets, with the points on each, also give every face of every cell,
-and no epsilon ever enters.  So is the
-separation constant behind the certified scale: its square is rational, and
-only its square root is taken in floats.  In the plane, the ends of Pi's
-segments are the gradients of the cells on each 1-face's dual edge.
+and no epsilon ever enters.  Pi is read from the cells: its vertices are
+their gradients, the component of the origin is the hull of the gradients
+of the cells that hold it (moment_polytope), and in the plane the ends of
+Pi's segments are the gradients of the cells on each 1-face's dual edge.
+The separation constant behind the certified scale is read from them
+too, one exact search per cell and point: its square is rational, and
+only its square root is taken in floats.
 The rest of the quantitative half (distortion constants, the patchworking
 scale, Hausdorff distances between point clouds and the complex) is
 numerical by nature and uses floats; no combinatorial decision depends on a
@@ -25,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +40,12 @@ from .lattice import (
     InvalidEps,
     NotTriangulation,
     Polytope,
+    Unbounded,
     Vec,
     _exact_int,
     affine_dim,
     dot,
+    hull,
     hull_facets,
     mat_det,
     primitive_row,
@@ -111,15 +117,6 @@ class CoherentSubdivision:
     is_maximal: bool
     facets: tuple[frozenset, ...]
 
-    def edges(self) -> set[frozenset]:
-        """1-faces of the subdivision as index pairs (triangulations only)."""
-        if not self.is_triangulation:
-            raise NotTriangulation("edge enumeration is defined here for triangulations")
-        out: set[frozenset] = set()
-        for c in self.cells:
-            out.update(frozenset(p) for p in itertools.combinations(c.indices, 2))
-        return out
-
 
 def regular_subdivision(h: HeightFunction) -> CoherentSubdivision:
     """Lower-hull subdivision of the lifted points {(alpha, nu(alpha))}.
@@ -141,17 +138,14 @@ def regular_subdivision(h: HeightFunction) -> CoherentSubdivision:
     cells = sorted((Cell(tuple(sorted(on)), tuple(Fraction(-x, a[-1]) for x in a[:-1]), b / a[-1])
                     for (a, b), on in facets if a[-1] < 0), key=lambda c: c.indices)
     is_tri = all(len(c.indices) == n + 1 for c in cells)
-    is_max = is_tri and all(_unimodular(c, A, n) for c in cells)
+    is_max = is_tri and all(abs(mat_det(_edges(A, c.indices, c.indices[0]))) == 1 for c in cells)
     return CoherentSubdivision(h, tuple(cells), is_tri, is_max, tuple(on for _, on in facets))
 
 
-def _unimodular(cell: Cell, A, n: int) -> bool:
-    anchor = A[cell.indices[0]]
-    M = [
-        [A[i][k] - anchor[k] for i in cell.indices[1:]]
-        for k in range(n)
-    ]
-    return abs(mat_det(M)) == 1
+def _edges(A, indices, a: int) -> list[tuple[int, ...]]:
+    """The edge vectors A_j - A_a from the point a of a cell to its other
+    points j, in the order of indices."""
+    return [tuple(x - y for x, y in zip(A[j], A[a])) for j in indices if j != a]
 
 
 def check_bundle_subdivision(fan: Fan, phi: Sequence) -> bool:
@@ -299,21 +293,36 @@ class TropicalComplex:
         """
         return [(c.gradient, c.indices) for c in self.subdivision.cells]
 
-    def adjacent_component_pairs(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) whose components share a facet of Pi."""
-        out = set()
-        for f in self.faces:
-            if f.dim == self.n - 1 and len(f.dual_indices) == 2:
-                out.add(tuple(sorted(f.dual_indices)))
-        return sorted(out)
-
     def moment_polytope(self) -> Polytope | None:
-        """The bounded component of the origin, as an exact polytope."""
+        """The component C_0 of the origin A_z = 0: the hull of the
+        gradients of the cells that hold z, with the component's rows; None
+        when 0 is no support point, ValueError when C_0 is empty, Unbounded
+        when it is unbounded.
+
+        C_0 = {u : <A_j, u> <= nu_j - nu_z}.  The gradient of a cell that
+        holds z is in C_0 with n independent rows tight, a vertex; a vertex
+        has n independent rows tight, so its tie set is a cell's, whose
+        gradient it is.  The rows span R^n, as A does affinely, so a
+        nonempty C_0 has a vertex: it is empty iff no cell holds z.  It is
+        bounded iff no d != 0 has <A_j, d> <= 0 for every j, iff 0 is
+        interior to hull(A) (Farkas; Ziegler, Lectures on Polytopes, 1.4):
+        if it is, eps d is in hull(A) for a small eps > 0, and <eps d, d> > 0
+        is a convex combination of the <A_j, d>, so one is positive; if not,
+        a hyperplane through 0 separates it from hull(A) or supports hull(A)
+        there, and its normal on the side away from hull(A) is such a d.
+        """
         zero = (0,) * self.n
         if zero not in self.height.points:
             return None
-        comp = self.components[self.height.points.index(zero)]
-        return Polytope.from_halfspaces(list(comp.normals), list(comp.bounds))
+        z = self.height.points.index(zero)
+        verts = {c.gradient for c in self.subdivision.cells if z in c.indices}
+        if not verts:
+            raise ValueError("the component of the origin is empty")
+        if not hull(self.height.points).contains_strictly(zero):
+            raise Unbounded("the component of the origin is unbounded")
+        comp = self.components[z]
+        return Polytope(self.n, tuple(verts), tuple(sorted(set(zip(comp.normals, comp.bounds)))),
+                        affine_dim(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -418,38 +427,30 @@ def project_onto_halfspaces(x0, normals, bounds):
 def tropical_constants(cx: TropicalComplex) -> TropicalConstants:
     """Norm bound N, distortion bound rho, and the separation constant c_est.
 
-    N is the maximum l1 norm over subdivision edge differences and over the
-    support points themselves.  rho bounds the length distortion of the
-    affine chart of each simplex (max of the two operator norms).  c_est is
-    the separation constant, exact up to one rounding to a float: half the
-    smallest ratio <h, r> / d(r, T(C_alpha)) over the vertex cones of Pi
-    (see _separation_squared).  It depends on the subdivision alone, so no
-    seed or sample enters.  diameter is the largest distance between two
-    vertices of Pi (0 for fewer than two).  All of it is read from the
+    N is the maximum l1 norm of A_i - A_j over the pairs of points of a
+    cell, the edges of the triangulation.  rho bounds the length distortion
+    of the affine chart of each simplex (max of the two operator norms).
+    c_est is the separation constant, exact up to one rounding to a float:
+    half the smallest ratio <h, r> / d(r, T(C_alpha)) over the vertex cones
+    of Pi (see _separation_squared).  It depends on the subdivision alone,
+    so no seed or sample enters.  diameter is the largest distance between
+    two vertices of Pi (0 for fewer than two).  All of it is read from the
     complex cx and its subdivision.
     """
-    h = cx.height
-    subd = cx.subdivision
-    if not subd.is_triangulation:
+    if not cx.subdivision.is_triangulation:
         raise NotTriangulation("constants are defined for triangulated supports")
-    A = h.points
-    n = h.n
-    N = 0
-    for e in subd.edges():
-        i, j = tuple(e)
-        N = max(N, sum(abs(A[i][k] - A[j][k]) for k in range(n)))
-
-    # distortion of the best affine chart per simplex: anchoring at a
-    # different vertex changes the edge matrix, so take the anchor whose
-    # chart distorts least (this keeps rho translation-invariant)
-    rho = 1.0
-    for cell in subd.cells:
-        pts = [A[i] for i in cell.indices]
+    A = cx.height.points
+    # N over the edges at each point of each simplex, and the distortion of
+    # the best affine chart per simplex: anchoring at a different vertex
+    # changes the edge matrix, so take the anchor whose chart distorts least
+    # (this keeps rho translation-invariant)
+    N, rho = 0, 1.0
+    for cell in cx.subdivision.cells:
         best = math.inf
-        for anchor in pts:
-            others = [p for p in pts if p != anchor]
-            M = np.array([[float(p[k] - anchor[k]) for p in others] for k in range(n)])
-            s = np.linalg.svd(M, compute_uv=False)
+        for a in cell.indices:
+            edges = _edges(A, cell.indices, a)
+            N = max(N, *(sum(map(abs, e)) for e in edges))
+            s = np.linalg.svd(np.array(edges, dtype=float).T, compute_uv=False)
             best = min(best, max(float(s[0]), float(1.0 / s[-1])))
         rho = max(rho, best)
 
@@ -463,60 +464,50 @@ def tropical_constants(cx: TropicalComplex) -> TropicalConstants:
 def _separation_squared(cx: TropicalComplex) -> Fraction:
     """Square of min <h, r> / d(r, T(C_alpha)), exactly; 1 if no ray is met.
 
-    The minimum runs over ordered adjacent pairs (alpha, beta), the minimal
-    faces of C_alpha and C_beta (vertices of Pi: A spans R^n affinely, so
-    no component has lineality), and the extreme rays r of the tangent cone
-    T(C_beta) at the vertex with r off H(alpha, beta); h is the unit normal
-    of H into C_beta.  The maximum of the convex d(., T(C_alpha)) over the
-    slice {<h, .> = 1} of T(C_beta) sits at one of these rays, and the
-    slice's recession directions lie in T(C_alpha), so the rays suffice.
+    The minimum runs over ordered adjacent pairs (alpha, beta), the vertices
+    of Pi where C_alpha and C_beta meet (A spans R^n affinely, so no
+    component has lineality), and the extreme rays r of the tangent cone
+    T(C_beta) there with r off H(alpha, beta); h is the unit normal of H
+    into C_beta.  The convex d(., T(C_alpha)) peaks on the slice
+    {<h, .> = 1} of T(C_beta) at such a ray, since the slice's recession
+    directions lie in T(C_alpha).
 
-    At a vertex with dual cell S (a simplex), T(C_x) = {r : <A_j - A_x, r>
-    <= 0 for j in S, j != x}, so the extreme rays of T(C_beta) keep all but
-    one row tight.  Every ray that keeps the alpha row tight lies in H; the
-    one left loosens exactly that row, to <A_alpha - A_beta, r> = -1, so
-    <A_beta - A_alpha, r> = 1 and the squared ratio is 1 / (|A_beta -
-    A_alpha|^2 d^2(r, T(C_alpha))).
+    At a vertex with dual simplex S, T(C_x) = {r : <A_j - A_x, r> <= 0, j
+    in S - x}.  The one extreme ray of T(C_beta) off H loosens only the
+    alpha row, to <A_alpha - A_beta, r> = -1, so <A_j - A_alpha, r> = 1 for
+    every j in S - alpha: r depends on (S, alpha) alone, and <h, r> =
+    1 / |A_beta - A_alpha|.  Any two points of S span an edge, dual to a
+    facet of Pi, so beta runs over S - alpha, and the least squared ratio
+    at (S, alpha) is 1 / (|A_beta - A_alpha|^2 d^2(r, T(C_alpha))) at the
+    farthest beta.
     """
     A = cx.height.points
-    n = cx.n
-
-    def cone_rows(S, x):
-        return [[A[j][k] - A[x][k] for k in range(n)] for j in S if j != x]
-
     best = Fraction(1)
-    cells = [c.indices for c in cx.subdivision.cells]
-    for i, j in cx.adjacent_component_pairs():
-        for a, b in ((i, j), (j, i)):
-            hh = sum((A[b][k] - A[a][k]) ** 2 for k in range(n))
-            for S in cells:
-                if a not in S or b not in S:
-                    continue
-                r = solve_square(cone_rows(S, b), [-int(x == a) for x in S if x != b])
-                best = min(best, 1 / (hh * _cone_distance_squared(r, cone_rows(S, a))))
+    for cell in cx.subdivision.cells:
+        for a in cell.indices:
+            edges = _edges(A, cell.indices, a)
+            far = max(sum(x * x for x in e) for e in edges)
+            best = min(best, 1 / (far * _cone_distance_squared(edges)))
     return best
 
 
-def _cone_distance_squared(r: Vec, rows) -> Fraction:
-    """Squared distance from r to the cone {y : <row, y> <= 0 for each row},
-    exactly.  The nearest point is y = r - sum lam_i row_i, the projection
-    of r onto the orthogonal complement of its active rows, so every set of
-    rows is tried and the nearest feasible projection wins, as
-    project_onto_halfspaces does in floats.  A set with a singular Gram
-    matrix is skipped: a linearly independent subset spans the same
-    complement.  Everything is read from the Gram matrix and <row, r>."""
-    gram = [[dot(p, q) for q in rows] for p in rows]
-    rr = [dot(p, r) for p in rows]
+def _cone_distance_squared(rows) -> Fraction:
+    """Squared distance, exactly, from the point r with <row, r> = 1 for
+    every row (linearly independent integer rows; r is never formed) to the
+    cone {y : <row, y> <= 0 for each row}.  The nearest point is
+    y = r - sum lam_i row_i, the projection of r onto the orthogonal
+    complement of its active rows, so every set of rows is tried and the
+    nearest feasible projection wins, as project_onto_halfspaces does in
+    floats: lam solves Gram lam = 1 on the set, y is feasible iff
+    Gram lam >= 1 on every row, and |y - r|^2 = lam . Gram lam = sum lam."""
+    gram = [[sum(map(mul, p, q)) for q in rows] for p in rows]
     feasible = []
     for size in range(len(rows) + 1):
         for act in itertools.combinations(range(len(rows)), size):
-            lam = solve_square([[gram[i][j] for j in act] for i in act], [rr[i] for i in act])
-            if lam is None:
-                continue
-            if all(rr[k] <= sum(l * gram[k][i] for l, i in zip(lam, act))
-                   for k in range(len(rows))):
-                # |sum lam_i row_i|^2 = lam . Gram lam = lam . rr
-                feasible.append(sum(l * rr[i] for l, i in zip(lam, act)))
+            lam = solve_square([[gram[i][j] for j in act] for i in act], [1] * size)
+            if lam is not None and all(sum(l * gram[k][i] for l, i in zip(lam, act)) >= 1
+                                       for k in range(len(rows))):
+                feasible.append(sum(lam, Fraction(0)))
     return min(feasible)
 
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from tropmirror.lattice import (
     Fan,
-    Polytope,
     hull,
     is_smooth,
     polytope_from_bundle,
@@ -37,6 +36,8 @@ from tropmirror.coordring import (
     serre_check,
     verify_isomorphism,
 )
+
+from oracles import from_halfspaces
 
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 P1_FAN = Fan(((1,), (-1,)), ((0,), (1,)))
@@ -143,6 +144,21 @@ def test_interior_counts_shifted_by_reciprocity():
     coeffs = ehrhart_polynomial(Q)
     for j in range(1, 4):
         assert eval_poly(coeffs, -j) == interior_counts(Q, j)[j]
+
+
+@pytest.mark.parametrize("rays, phi, interior", [
+    (((1, 0), (0, 1), (-1, -2)), (1, 1, 2), [0, 2, 16, 42]),
+    (((1, 0), (0, 1), (-1, -1)), (Fraction(1, 2), Fraction(1, 3), 1), [0, 1, 3, 10]),
+], ids=["P112", "P2-thirds"])
+def test_ehrhart_polynomial_refuses_a_non_lattice_polytope(rays, phi, interior):
+    # a Q with a non-integral vertex counts by a quasi-polynomial: on P(1,1,2)
+    # a fitted polynomial would give 3, 18, 46 by reciprocity
+    Q = polytope_from_bundle(Fan(rays, ((0, 1), (1, 2), (0, 2))), phi)
+    assert interior_counts(Q, 3) == interior
+    with pytest.raises(ValueError, match="quasi-polynomial"):
+        ehrhart_polynomial(Q)
+    report = serre_check(Q, 3)  # which keeps its own gate
+    assert report.ok and [dict(r)["reciprocity"] for r in report.rows] == [None] * 3
 
 
 def test_p4_counts_match_binomials():
@@ -311,7 +327,7 @@ def test_smooth_surface_corpus_verifies(surface):
     assert is_smooth(fan) and fan.is_complete()
     Q = polytope_from_bundle(fan, phi)
     # the vertices read off the cone gradients are the enumerated ones
-    assert Q == Polytope.from_halfspaces(fan.rays, phi)
+    assert Q == from_halfspaces(fan.rays, phi)
     assert verify_isomorphism(assemble_algebra(Q, 3), section_ring(Q, 3)).ok
     assert serre_check(Q, 3).ok
 

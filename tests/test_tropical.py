@@ -26,6 +26,8 @@ from tropmirror import tropical
 from tropmirror.lattice import (
     Fan,
     NotConvex,
+    Polytope,
+    Unbounded,
     affine_dim,
     dot,
     hull,
@@ -54,6 +56,8 @@ from tropmirror.tropical import (
     regular_subdivision,
     tropical_constants,
 )
+
+from oracles import adjacent_pairs, from_halfspaces, separation_squared_pairwise
 
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 P1XP1_FAN = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -321,6 +325,72 @@ def test_p2_origin_component_is_the_moment_polytope():
     q = cx.moment_polytope()
     ref = polytope_from_bundle(P2_FAN, (1, 1, 1))
     assert q.vertices == ref.vertices
+
+
+def moment_outcome(build):
+    """What build() gives: its polytope (or None), "unbounded", or "empty"."""
+    try:
+        return build()
+    except Unbounded:
+        return "unbounded"
+    except ValueError as e:
+        assert "empty" in str(e)
+        return "empty"
+
+
+def check_moment_polytope_against_the_oracle(cx):
+    """moment_polytope, read off the cells, against the vertex enumeration
+    of the component's rows; returns the outcome."""
+    got = moment_outcome(cx.moment_polytope)
+    zero = (0,) * cx.n
+    if zero not in cx.height.points:
+        assert got is None
+    else:
+        comp = cx.components[cx.height.points.index(zero)]
+        assert got == moment_outcome(lambda: from_halfspaces(comp.normals, comp.bounds))
+    return got
+
+
+@pytest.mark.parametrize("points, values, kind", [
+    (((0, 0), (1, 0), (0, 1), (-1, -1)), (0, 1, 1, 1), 2),
+    # the tied square: C_0 is the segment [-1, 1] x {0}
+    (((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)), (0, 1, 0, 1, 0), 1),
+    # the flat lift: C_0 is the origin
+    (((0, 0), (1, 0), (0, 1), (-1, -1)), (0, 0, 0, 0), 0),
+    (((0, 0), (1, 0), (0, 1)), (0, 0, 0), "unbounded"),
+    # the origin on the boundary of hull(A), lifted above the lower hull:
+    # C_0 is empty, and its rows leave a direction free
+    (((-1, 0), (0, 0), (1, 0), (0, 1)), (0, 5, 0, 0), "empty"),
+    (((0, 0), (1, 0), (0, 1), (-1, -1)), (50, 0, 0, 0), "empty"),
+    (((1, 0), (0, 1), (-1, -1)), (0, 0, 0), None),
+], ids=["full", "segment", "point", "unbounded", "empty-free", "empty-bounded", "no-origin"])
+def test_moment_polytope_cases(points, values, kind):
+    got = check_moment_polytope_against_the_oracle(TropicalComplex(HeightFunction(points, values)))
+    assert (got.dim if isinstance(got, Polytope) else got) == kind
+
+
+@st.composite
+def origin_height(draw):
+    """A random height function (n = 1, 2, 3) on few points near the
+    origin, which is a support point in most draws, with few height values,
+    so that C_0 comes out bounded or not, of any dimension, or empty."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2) if n == 1 else st.integers(-1, 1)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 4,
+                        unique=True))
+    if draw(st.integers(0, 4)) and (0,) * n not in pts:
+        pts[0] = (0,) * n
+    values = draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
+    try:
+        return TropicalComplex(HeightFunction(tuple(pts), tuple(values)))
+    except DegenerateSupport:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(origin_height())
+def test_moment_polytope_matches_the_vertex_enumeration(cx):
+    check_moment_polytope_against_the_oracle(cx)
 
 
 def test_interval_complex():
@@ -707,7 +777,7 @@ def sampled_separation_ratios(cx, rng, draws=1024):
     eps_off = 1e-3 * diam
     A, nu = cx.height.points, cx.height.values
     ratios = []
-    for i, j in cx.adjacent_component_pairs():
+    for i, j in adjacent_pairs(cx):
         for a, b in ((i, j), (j, i)):
             na, ba = cx.components[a].unit_halfspaces(1.0)
             nb, bb = cx.components[b].unit_halfspaces(1.0)
@@ -725,10 +795,10 @@ def sampled_separation_ratios(cx, rng, draws=1024):
 
 
 @st.composite
-def triangulating_height(draw):
-    """A random height function (n = 1, 2, 3) whose subdivision is a
+def triangulating_height(draw, min_n=1):
+    """A random height function (n = min_n .. 3) whose subdivision is a
     triangulation."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(min_n, 3))
     coord = st.integers(-2, 2)
     pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3,
                         unique=True))
@@ -752,6 +822,43 @@ def test_no_sampled_ratio_below_the_exact_separation(cx, seed):
     ratios = sampled_separation_ratios(cx, np.random.default_rng(seed))
     assert len(ratios) > 0
     assert float(np.min(ratios)) >= exact * (1.0 - 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangulating_height(min_n=2))
+def test_separation_per_cell_matches_the_pairwise_search(cx):
+    # one search per (cell, point) at the farthest other point, against the
+    # search per ordered adjacent pair and cell with the ray solved for each
+    assert tropical._separation_squared(cx) == separation_squared_pairwise(cx)
+
+
+P3_RAYS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+P2_CONES = ((0, 1), (1, 2), (0, 2))
+
+
+@pytest.mark.parametrize("rays, cones, phi, c2", [
+    (P2_FAN.rays, P2_FAN.max_cones, (1, 1, 1), Fraction(1, 10)),
+    (((1, 0), (0, 1), (-1, 1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)), (1, 1, 2, 1),
+     Fraction(1, 10)),
+    (P1XP1_FAN.rays, P1XP1_FAN.max_cones, (1, 1, 1, 1), Fraction(1, 2)),
+    (P3_RAYS, tuple(itertools.combinations(range(4), 3)), (1, 1, 1, 1), Fraction(1, 33)),
+    # P^3 blown up at a torus-fixed point: the cone {e1, e2, e3} star-subdivided
+    (P3_RAYS + ((1, 1, 1),), ((0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+     (1, 1, 1, 1, 2), Fraction(1, 33)),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+     ((0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 4, 5), (1, 2, 3), (1, 3, 5), (2, 3, 4), (3, 4, 5)),
+     (1,) * 6, Fraction(1, 3)),
+    (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)),
+     tuple(itertools.combinations(range(5), 4)), (1,) * 5, Fraction(1, 76)),
+    (((1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1)),
+     tuple(c + tuple(3 + i for i in d) for c in P2_CONES for d in P2_CONES), (1,) * 6,
+     Fraction(1, 20)),
+], ids=["P2", "F1", "P1xP1", "P3", "P3-blowup", "P1^3", "P4", "P2xP2"])
+def test_separation_squared_is_pinned(rays, cones, phi, c2):
+    cx = TropicalComplex(HeightFunction.from_bundle(Fan(rays, cones), phi))
+    assert tropical._separation_squared(cx) == c2
+    assert separation_squared_pairwise(cx) == c2
+    assert tropical_constants(cx).c_est == 0.5 * math.sqrt(c2)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,11 @@ cat > "$OUT/fans/p112.json" <<'EOF'
 {"rays": [[1, 0], [0, 1], [-1, -2]], "max_cones": [[0, 1], [1, 2], [0, 2]], "phi": ["1", "1", "2"]}
 EOF
 
+# P^2 x P^2: rank 4 with 9 cells, the one rank-4 fan here that is no simplex
+cat > "$OUT/fans/p2xp2.json" <<'EOF'
+{"rays": [[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1]], "max_cones": [[0, 1, 3, 4], [0, 1, 4, 5], [0, 1, 3, 5], [1, 2, 3, 4], [1, 2, 4, 5], [1, 2, 3, 5], [0, 2, 3, 4], [0, 2, 4, 5], [0, 2, 3, 5]], "phi": ["1", "1", "1", "1", "1", "1"]}
+EOF
+
 T_E8=2980.9579870417283  # repr(math.exp(8.0)): log t = 8
 
 # run CASE FAN SUBCOMMAND [FLAGS...]
@@ -144,6 +149,10 @@ for fan in p3-blowup-point p1xp1xp1-blowup-curve; do
     run "verify-$fan-J2" "$fan" verify --J 2
     run "hilbert-$fan-J6" "$fan" hilbert --J 6
 done
+
+run tropical-p2xp2 p2xp2 tropical
+# a certified log t* past 709: t* itself is no double and is written as null
+run tropical-p2-eps0.05 p2 tropical --eps 0.05
 
 run subdivide-p112 p112 subdivide
 run tropical-p112 p112 tropical
