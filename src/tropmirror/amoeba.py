@@ -61,13 +61,11 @@ class NoCrossing(RuntimeError):
 
 def _libm(fn, *args) -> np.ndarray:
     """fn (a libm function: math.exp, pow, ...) elementwise as float64; numpy's
-    vectorised versions may round the last bit differently.  The arguments
-    broadcast; each element reaches fn as the Python number tolist() gives."""
+    vectorised versions may round the last bit differently.  The first
+    argument sets the shape, the others have it or are scalars; each element
+    reaches fn as the Python number tolist() gives."""
     arrays = [np.asarray(a) for a in args]
     shape = arrays[0].shape
-    if any(a.ndim and a.shape != shape for a in arrays):
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        arrays = [a if a.ndim == 0 else np.broadcast_to(a, shape) for a in arrays]
     columns = [repeat(a.item()) if a.ndim == 0 else a.ravel().tolist() for a in arrays]
     return np.fromiter(map(fn, *columns), float, math.prod(shape)).reshape(shape)
 
@@ -215,7 +213,6 @@ class PatchworkFamily:
             raise ValueError("one coefficient per support point")
         self.coefficients = np.array([complex(c) for c in coefficients])
         self.exponents = np.array(height.points, dtype=float)
-        self.exponents_int = tuple(height.points)
         self.nu_log = np.array([float(v) for v in height.values]) * self.L
         # the active components scaled by log t, planned once for the
         # nearest-point kernel; self.active[c] is the term of polyhedron c
@@ -265,25 +262,21 @@ class PatchworkFamily:
 
     # -- scaled evaluation core ----------------------------------------
 
-    def eval_scaled(self, u, theta, s: float | None = None):
-        """Everything at z = exp(u + i theta), with e^{mstar} factored out.
+    def eval_scaled(self, u, theta):
+        """Everything at z = exp(u + i theta) at the family's s, e^{mstar} factored out.
 
         Returns (mstar, value_hat, del_hat, delbar_hat) for u, theta of shape
         (..., n); the covector hats have shape (..., n).  The true value is
         e^{mstar} value_hat and the true covector components in the unit frame
         (z_j df/dz_j and conj(z_j) dbar f/dzbar_j) are e^{mstar} times the
         hats.  Norms in the invariant metric are plain 2-norms of the hats
-        (times e^{mstar}).  s overrides the family parameter (used by the
-        continuation; the family itself is never mutated).
+        (times e^{mstar}).
 
         This is _combine after _terms: the part that depends on the point
-        alone, then the part that depends on s.  Callers that revisit a point
-        at several s (the continuation) keep the first and redo the second.
+        alone, then the part that depends on s (the continuation calls them apart).
         """
-        if s is None:
-            s = self.s
-        mstar, T, phis, grads = self._terms(u, theta, s != 0.0)
-        return (mstar,) + self._combine(T, phis, grads, s)
+        mstar, T, phis, grads = self._terms(u, theta, self.s != 0.0)
+        return (mstar,) + self._combine(T, phis, grads, self.s)
 
     def _terms(self, u, theta, cutoffs: bool):
         """(mstar, T, phis, grads) at u, theta (..., n): the largest term
@@ -328,7 +321,7 @@ def lopsided_certificate(F: PatchworkFamily, u) -> np.ndarray:
 
     Certifies u outside the amoeba for every s in [0,1]: the candidate term
     enters with its smallest possible coefficient 1 - phi_a(u) while every
-    other term is given its largest (1).  F.exponents_int[i] is the exponent
+    other term is given its largest (1).  F.height.points[i] is the exponent
     of index i.  Every row is computed exactly as it would be alone.
     """
     u = np.asarray(u, dtype=float)
@@ -360,7 +353,7 @@ def _fiber_coefficients(F: PatchworkFamily, radii, thetas) -> np.ndarray:
     each is computed once per row of its grid and spread over the fibers; every
     fiber's terms get the same scalar operations as when computed alone."""
     fixed = F.exponents.T[:, None, :]  # (axis, 1, terms)
-    free = np.array(F.exponents_int).T[::-1]  # free exponents of each axis' fibers
+    free = np.array(F.height.points).T[::-1]  # free exponents of each axis' fibers
     free = free - free.min(axis=1, keepdims=True)
     logmag = fixed * radii[..., None] - F.nu_log  # (axis, radius, terms)
     mag = _libm(math.exp, logmag - logmag.max(axis=2, keepdims=True))
@@ -528,20 +521,16 @@ class SampleResult:
     degenerate_fibers: int
     dropped: dict            # roots dropped, by reason (see amoeba_sample_curve)
 
-    @property
-    def witnesses(self) -> list:  # (u_vec, theta_vec) per emitted point
-        return list(zip(map(tuple, self.points), map(tuple, self.angles)))
-
 
 def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> SampleResult:
     """Point cloud of Log f^{-1}(0) over log-radius x argument grids.
 
-    radius_grid is (u1_lo, u1_hi, count) or ((u1_lo, u1_hi, u2_lo, u2_hi),
-    count).  Both coordinates are swept in turn: a wall of the amoeba whose
-    dual edge is parallel to a coordinate axis is exponentially thin in that
-    coordinate's fibers (it needs the other argument pinned within
-    e^{-O(log t)}), but has full angular width in the transverse sweep, so
-    the union of the two sweeps covers every wall at grid resolution.
+    radius_grid is ((u1_lo, u1_hi, u2_lo, u2_hi), count).  Both coordinates
+    are swept in turn: a wall of the amoeba whose dual edge is parallel to a
+    coordinate axis is exponentially thin in that coordinate's fibers (it
+    needs the other argument pinned within e^{-O(log t)}), but has full
+    angular width in the transverse sweep, so the union of the two sweeps
+    covers every wall at grid resolution.
 
     Three array passes over all fibers: one scatter builds the cleared s = 0
     polynomials from term magnitudes per grid radius and phases per grid
@@ -560,11 +549,10 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
     """
     if F.n != 2:
         raise ValueError("fiber sampling is implemented for n = 2")
-    if len(radius_grid) == 3:  # one window for both coordinates
-        radius_grid = (tuple(radius_grid[:2]) * 2, radius_grid[2])
-    windows = np.array(radius_grid[0], dtype=float).reshape(2, 2)
+    box, n_r = radius_grid
+    windows = np.array(box, dtype=float).reshape(2, 2)
     thetas = 2.0 * math.pi * np.arange(int(arg_grid)) / max(int(arg_grid), 1)
-    n_r, n_th = int(radius_grid[1]), len(thetas)
+    n_r, n_th = int(n_r), len(thetas)
     radii = np.array([np.linspace(*w, n_r) for w in windows])
     fiber, z, degenerate = _fiber_roots(_fiber_coefficients(F, radii, thetas))
     found = np.isfinite(z) & (z != 0)
@@ -586,19 +574,15 @@ def amoeba_sample_curve(F: PatchworkFamily, arg_grid: int, radius_grid) -> Sampl
 # the symplecticity margin
 # ---------------------------------------------------------------------------
 
-def symplectic_margin(F: PatchworkFamily, z):
-    """|df|_g - |dbar f|_g at zero-locus witnesses.
-
-    z is complex coordinates (..., n) or a log-form pair (u, theta) of such
-    arrays, e.g. (SampleResult.points, .angles).  The residual precondition
+def symplectic_margin(F: PatchworkFamily, witnesses):
+    """|df|_g - |dbar f|_g at zero-locus witnesses (u, theta): real arrays
+    (..., n) of Log|z| and arg z, as the sampler reports its points
+    (SampleResult.points, .angles); complex coordinates raise TypeError.
     |f| < 1e-8 is enforced at every witness (NotOnZeroLocus).  The sampler
-    computes the same margins from its final evaluation (SampleResult.margins);
-    this function serves arbitrary witnesses and is the tests' oracle for them.
+    computes the same margins from its final evaluation (.margins); this
+    function serves arbitrary witnesses and is the tests' oracle for them.
     """
-    if np.iscomplexobj(z) or np.ndim(z[0]) == 0:
-        u, theta = _log_coords(z)
-    else:
-        u, theta = (np.asarray(w, dtype=float) for w in z)
+    u, theta = (np.asarray(w).astype(float, casting="same_kind") for w in witnesses)
     mstar, val, dh, dbh = F.eval_scaled(u, theta)
     residual, good, margins = _on_zero_locus(mstar, val, dh, dbh)
     off = residual[~good]

@@ -79,6 +79,8 @@ class HeightFunction:
             raise ValueError("empty support")
         if any(len(p) != len(pts[0]) for p in pts):
             raise ValueError("support points have different lengths")
+        if not pts[0]:
+            raise DegenerateSupport("a support in R^0 spans nothing")
 
     @property
     def n(self) -> int:

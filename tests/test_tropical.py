@@ -194,6 +194,10 @@ def test_degenerate_support_raises():
         regular_subdivision(HeightFunction(((0, 0), (1, 0)), (0, 0)))
     with pytest.raises(DegenerateSupport):
         regular_subdivision(HeightFunction(((0, 0), (1, 1), (2, 2)), (0, 0, 0)))
+    # a support in R^0 spans nothing: refused when built, not by an internal
+    # TypeError in tropical_constants
+    with pytest.raises(DegenerateSupport):
+        HeightFunction(((),), (0,))
 
 
 def test_random_supports_against_oracle():

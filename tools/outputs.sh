@@ -96,6 +96,13 @@ cat > "$OUT/fans/p112.json" <<'EOF'
 {"rays": [[1, 0], [0, 1], [-1, -2]], "max_cones": [[0, 1], [1, 2], [0, 2]], "phi": ["1", "1", "2"]}
 EOF
 
+# the Hirzebruch surface F_2: with z1 fixed, its fibers are cubics in z2, so
+# only its amoeba runs reach the sampler's companion-matrix roots (the fibers
+# of P^2, F_1 and P^1 x P^1 have degree <= 2 and take the closed forms)
+cat > "$OUT/fans/f2.json" <<'EOF'
+{"rays": [[1, 0], [0, 1], [-1, 2], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]], "phi": ["1", "1", "2", "1"]}
+EOF
+
 # P^2 x P^2: rank 4 with 9 cells, the one rank-4 fan here that is no simplex
 cat > "$OUT/fans/p2xp2.json" <<'EOF'
 {"rays": [[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1]], "max_cones": [[0, 1, 3, 4], [0, 1, 4, 5], [0, 1, 3, 5], [1, 2, 3, 4], [1, 2, 4, 5], [1, 2, 3, 5], [0, 2, 3, 4], [0, 2, 4, 5], [0, 2, 3, 5]], "phi": ["1", "1", "1", "1", "1", "1"]}
@@ -178,3 +185,8 @@ run amoeba-f1-certified-g12 f1 amoeba --grid 12
 run amoeba-f1-e8-s0-g60 f1 amoeba --t "$T_E8" --s 0 --grid 60
 run amoeba-p1xp1-e8-s0-g33 p1xp1 amoeba --t "$T_E8" --s 0 --grid 33
 run amoeba-p1xp1-t20-s1-g10 p1xp1 amoeba --t 20 --s 1 --grid 10
+
+# degree-3 fibers (F_2) at log t = 8, given by --t: the certified log t* of
+# F_2 is about 1003 at eps = 0.1, and t* itself is no double
+run amoeba-f2-e8-s0-g30 f2 amoeba --t "$T_E8" --s 0 --grid 30
+run amoeba-f2-e8-s1-g12 f2 amoeba --t "$T_E8" --s 1 --grid 12
