@@ -21,8 +21,9 @@ byte-identical output files.  Everything runs on a single thread.
 
 Every command but `subdivide` takes the moment polytope Q from
 `polytope_from_bundle` before any other work, so a fan file gets one
-verdict: a structural defect is refused when the `Fan` is built (exit 1),
-an incomplete fan or a non-convex phi when Q is (exit 2).
+verdict: a structural defect (a degenerate cone among them) is refused
+when the `Fan` is built (exit 1), an incomplete fan or a non-convex phi
+when Q is (exit 2).
 
 Importing this module loads the lattice layer alone, which holds every
 exception `main` maps to an exit code; each command imports its own modules
@@ -31,12 +32,13 @@ when it runs, so `hilbert` starts without numpy or the numeric layers.
 A warning prints as one line, "warning: <message>", naming no source path.
 
 Exit codes: 0 success, 1 malformed input or invalid parameters (a bad flag
-value, or a flag the command does not take), 2 domain error (incomplete
-fan, non-convex support function, degenerate polytope, or a weakly convex
-one where the command needs a triangulated support), 3 amoeba commands on a
-fan whose lattice rank is not 2, 4 isomorphism mismatch from the
-verification pipeline, 5 internal error (any other exception, reported as
-"internal error in <command>: <type>: <message>").
+value, a flag the command does not take, or a degenerate cone on any
+command), 2 domain error (incomplete fan, non-convex support function,
+degenerate polytope, or a weakly convex one where the command needs a
+triangulated support), 3 amoeba commands on a fan whose lattice rank is
+not 2, 4 isomorphism mismatch from the verification pipeline, 5 internal
+error (any other exception, reported as "internal error in <command>:
+<type>: <message>").
 """
 
 from __future__ import annotations

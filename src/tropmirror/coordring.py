@@ -2,19 +2,20 @@
 Hilbert functions, and the verifier of the generator-map isomorphism.
 
 The ring basis in degree j is the dilate-and-count enumeration jQ cap Z^n;
-the Floer side uses the refine-and-count picture Q cap (1/j)Z^n.  Keeping the
-two enumeration routes separate is deliberate: the isomorphism check below
-compares them point by point, so collapsing them would make the verification
-vacuous.  Both sides reach the check as integer tuples from the lattice
-sweep, with no `Fraction` in between: the ring bases are the integer points
-of jQ, and the image j*p of a Floer generator p is its numerator at the
-refinement j.  The product check reads the algebra's int64 tables directly:
-one gather and one broadcast sum of integer image points per (j, k) slice.
-The Hilbert function and the interior counts live in `lattice`, where
-they sum the sweep's column lengths and build no point, so that the
-`hilbert` command runs without this module; both are imported back here,
-and the counting polynomial is fitted to the first.  The Serre check's
-dilate count is a column sum too.
+the Floer side uses the refine-and-count picture Q cap (1/j)Z^n.  Both run
+`_lattice_columns` on the same integer limits floor(j b) over the same
+ranges, so they give the same numerator tuples: the degree half of the
+isomorphism check, and the Serre check's refine = dilate, check the
+scaling j*b of Q's bounds, not a second count (no count independent of the
+sweep is in the package).  Both sides reach the check as integer tuples,
+with no `Fraction` in between: the ring bases are the integer points of
+jQ, and the image j*p of a Floer generator p is its numerator at the
+refinement j.  The product check reads the algebra's int64 tables
+directly: one gather and one broadcast sum of integer image points per
+(j, k) slice.  The Hilbert function and the interior counts live in
+`lattice`, where they sum the sweep's column lengths and build no point,
+so that the `hilbert` command runs without this module; both are
+imported back here, and the counting polynomial is fitted to the first.
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ the geometry (vertices, halfspace bounds, determinants) is in
 algorithm is one algorithm for every dimension n >= 1: the convex hull and
 the fan completeness test are exact for every n (their docstrings give the
 proofs), at a cost that grows with the number of n-subsets of their input.
-No polytope is built from halfspaces by vertex enumeration: a fan's moment
-polytope has the cone gradients that the convexity pass solves as its
-vertices (`polytope_from_bundle`), and the tropical layer reads the
-component of the origin off the cells of its subdivision.  The hull is one
-facet pass, `hull_facets`, that records which points lie on each facet:
-the vertices are read from those index sets, and so are the cells and
+A `Fan` solves each maximal cone's dual basis once, when it is built, and
+completeness, smoothness and a support function's gradients m_sigma, the
+vertices of its moment polytope (`polytope_from_bundle`), are read from
+it.  No polytope is built from halfspaces by vertex enumeration: the
+tropical layer reads the component of the origin off its cells.  The hull
+is one facet pass, `hull_facets`, that records which points lie on each
+facet: the vertices are read from those index sets, and so are the cells and
 faces of the tropical layer's regular subdivision, the lower hull of a
 height function's lifted support.  A lower-dimensional hull is the same
 pass on a coordinate projection.  Lattice points come from one integer
@@ -30,9 +31,9 @@ are its counts, and `hilbert` needs no module beyond this one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -168,13 +169,9 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     fr = [_frac(x) for x in v]
     if all(x == 0 for x in fr):
         raise ValueError("zero vector has no primitive representative")
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in fr))
     ints = [int(x * denom) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -454,13 +451,16 @@ def _lattice_columns(
 class Fan:
     """Rational fan given by primitive rays and maximal cones (ray indices).
 
-    Construction raises MalformedFan for every defect of the data, the two
-    structural ones among them: a maximal cone without n rays, and a ray in
-    no maximal cone.  No reader of a Fan checks them again.
+    Construction raises MalformedFan for every defect of the data, the three
+    structural ones among them: a maximal cone without n rays, a ray in no
+    maximal cone, and a degenerate cone (rays that do not span).  No reader
+    checks them again.  `duals[s]` is the dual basis (w_i) of the cone
+    `max_cones[s]`: <w_i, v_j> is 1 if i = j, else 0, for its rays v_j.
     """
 
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
+    duals: tuple[tuple[Vec, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -480,10 +480,7 @@ class Fan:
         for r in rays:
             if all(x == 0 for x in r):
                 raise MalformedFan("zero vector is not a valid ray")
-            g = 0
-            for x in r:
-                g = gcd(g, abs(x))
-            if g != 1:
+            if gcd(*r) != 1:
                 raise MalformedFan(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise MalformedFan("duplicate rays")
@@ -502,52 +499,48 @@ class Fan:
         for i in range(len(rays)):
             if i not in covered:
                 raise MalformedFan(f"ray {i} lies in no maximal cone")
+        eye = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+        duals = []
+        for c in cones:  # [M | I], M the rays of c as rows, reduces to [I | M^-1]
+            m, pivots, _ = _rref([rays[i] + e for i, e in zip(c, eye)], n)
+            if len(pivots) < n:
+                raise MalformedFan(f"cone {c} is degenerate (rays do not span)")
+            duals.append(tuple(tuple(row[n + i] for row in m) for i in range(n)))
+        object.__setattr__(self, "duals", tuple(duals))
 
     @property
     def n(self) -> int:
         return len(self.rays[0])
 
-    def cone_matrix(self, cone: Sequence[int]) -> list[tuple[int, ...]]:
-        return [self.rays[i] for i in cone]
-
     def is_complete(self) -> bool:
         """Does the fan support cover all of R^n?  Exact degree test, every n.
 
-        Every ridge (n - 1 rays of a maximal cone) must be shared by exactly
-        two maximal cones lying on opposite sides of its hyperplane.  The
-        cone that adds the ray v lies on the side of sign <N, v>, N the
-        ridge's normal (the nullspace of its rays), since det(ridge, v) =
-        <C, v> for the ridge's cofactor vector C, a nonzero multiple of N; a
-        zero, or a ridge of dependent rays (no N), is a degenerate cone.
-        Then the number of cones containing a generic direction (one off
-        every ridge's hyperplane) is the same everywhere.  Any n - 1 rays of
-        a maximal cone span one of its ridges, so a generic direction has
-        no zero coordinate in any cone's ray basis: it is interior to a
-        cone or outside it, never on its boundary.  A path between two
-        generic directions can cross the ridges' hyperplanes one at a time,
-        off every face of dimension n - 2, and only a crossing inside a
-        ridge changes the count; there the cones it leaves and enters pair
-        up by that ridge, one of each pair on each side.  So that count is
-        the degree of the cones over the sphere of directions, and the cones
-        cover R^n once, as a complete fan's do, iff it is 1.
-        `_generic_direction` gives one such direction from the ridge normals
-        the ridge test has computed.  In n = 1 the one ridge is the empty
-        set and its hyperplane is the origin.
+        Every ridge (the rays of a maximal cone sigma but v_k) must be shared
+        by exactly two maximal cones on opposite sides of its hyperplane,
+        whose normal is w_k, sigma's dual vector of v_k.  sigma is on the side
+        <w_k, v_k> = 1 > 0, so the other cone, which adds the ray v_k', is
+        on the other iff <w_k, v_k'> < 0.  Then the number of cones holding
+        a generic direction w, <w_i, w> != 0 for every cone's every w_i, is
+        the same everywhere: w is the sum of the <w_i, w> v_i over any
+        cone's rays, so it is interior to the cone iff every <w_i, w> > 0
+        and never on its boundary.  A path between two generic directions
+        can cross the ridges' hyperplanes one at a time, off every face of
+        dimension n - 2, and only a crossing inside a ridge changes the
+        count; there the cones it leaves and enters pair up by that ridge,
+        one of each pair on each side.  So that count is the degree of the
+        cones over the sphere of directions, and the cones cover R^n once,
+        as a complete fan's do, iff it is 1.  In n = 1 the one ridge is the
+        empty set and its hyperplane is the origin.
         """
-        n = self.n
-        opposite: dict[tuple[int, ...], list[int]] = {}  # ridge -> opposite rays
-        for c in self.max_cones:
-            for k in c:
-                opposite.setdefault(tuple(i for i in c if i != k), []).append(k)
-        normals = []
-        for ridge, ks in opposite.items():
-            ns = nullspace([self.rays[i] for i in ridge], n) if len(ks) == 2 else []
-            if len(ns) != 1 or dot(ns[0], self.rays[ks[0]]) * dot(ns[0], self.rays[ks[1]]) >= 0:
+        opposite: dict[tuple[int, ...], list[tuple[Vec, tuple[int, ...]]]] = {}
+        for c, ws in zip(self.max_cones, self.duals):
+            for k, wk in zip(c, ws):  # ridge -> (w_k, v_k) of each cone on it
+                opposite.setdefault(tuple(i for i in c if i != k), []).append((wk, self.rays[k]))
+        for sides in opposite.values():
+            if len(sides) != 2 or dot(sides[0][0], sides[1][1]) >= 0:
                 return False
-            normals.append(ns[0])
-        w = _generic_direction(normals, n)
-        columns = ([[self.rays[i][k] for i in c] for k in range(n)] for c in self.max_cones)
-        return sum(all(x > 0 for x in solve_square(m, w)) for m in columns) == 1
+        w = _generic_direction([wi for ws in self.duals for wi in ws], self.n)
+        return sum(all(dot(wi, w) > 0 for wi in ws) for ws in self.duals) == 1
 
 
 def _exact_int(x, what: str) -> int:
@@ -566,7 +559,7 @@ def _exact_int(x, what: str) -> int:
 
 def _generic_direction(normals: Sequence[Vec], n: int) -> tuple[int, ...]:
     """First w = (1, k, ..., k^(n-1)), k = 1, 2, ..., off every hyperplane
-    whose normal is given: the hyperplanes of a fan's ridges.
+    whose normal is given: those of a fan's ridges, its cones' dual vectors.
 
     Each normal dotted with w is a nonzero polynomial of degree at most
     n - 1 in k, so every hyperplane rules out at most n - 1 values of k.
@@ -578,8 +571,10 @@ def _generic_direction(normals: Sequence[Vec], n: int) -> tuple[int, ...]:
 
 
 def is_smooth(fan: Fan) -> bool:
-    """Every maximal cone is unimodular (ray matrix determinant +-1)."""
-    return all(mat_det(fan.cone_matrix(c)) in (1, -1) for c in fan.max_cones)
+    """Every maximal cone is unimodular: its dual basis, the columns of M^-1
+    for its integer ray matrix M, is integral.  That holds iff det M = +-1,
+    as det M^-1 = 1 / det M and M^-1 = adj M / det M."""
+    return all(x.denominator == 1 for ws in fan.duals for w in ws for x in w)
 
 
 def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | None]:
@@ -595,16 +590,14 @@ def support_convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | N
 
 def _convexity(fan: Fan, phi: Sequence) -> tuple[str, tuple[int, int] | None, list[Vec]]:
     """support_convexity's verdict and witness, and phi's gradient m_sigma on
-    each maximal cone sigma, in cone order, tested against every other ray."""
+    each maximal cone sigma, in cone order, tested against every other ray:
+    m_sigma = sum phi_i w_i over sigma's dual basis, so <m_sigma, v_i> = phi_i."""
     if len(phi) != len(fan.rays):
         raise MalformedFan("phi must assign one value per ray")
     vals = [_frac(p) for p in phi]
-    grads = []
-    for c in fan.max_cones:
-        m = solve_square(fan.cone_matrix(c), [vals[i] for i in c])
-        if m is None:
-            raise MalformedFan(f"cone {c} is degenerate (rays do not span)")
-        grads.append(m)
+    grads = [tuple(sum((vals[i] * x for i, x in zip(c, coords)), Fraction(0))
+                   for coords in zip(*ws))
+             for c, ws in zip(fan.max_cones, fan.duals)]
     kind, witness = "strict", None
     for ci, (c, m) in enumerate(zip(fan.max_cones, grads)):
         for ri, ray in enumerate(fan.rays):
@@ -635,14 +628,15 @@ def polytope_from_bundle(fan: Fan, phi: Sequence) -> Polytope:
     """Moment polytope Q = {y : <v_i, y> <= phi(v_i)} of a support function.
 
     Raises Unbounded when the fan is not complete and NotConvex when phi is
-    not even weakly convex.  A weakly-(but not strictly-)convex phi gives a
-    degenerate polytope, which is returned flagged rather than rejected.
+    not even weakly convex.  A weakly (not strictly) convex phi merges some
+    gradients; a Q that is lower-dimensional is returned flagged, not rejected.
     For a complete fan and a convex phi the vertices of Q are the distinct
-    gradients m_sigma of the convexity pass (Cox, Little & Schenck, Thm
-    6.1.7): m_sigma is in Q with n independent rows tight, and a vertex u,
-    the one maximizer over Q of some w = sum c_i v_i, c_i > 0, inside a
-    cone sigma, has <w, u> <= sum c_i phi_i = <w, m_sigma>.  The rays are
-    primitive and distinct, so the rows (v_i, phi_i) are Q's halfspaces.
+    gradients m_sigma = sum phi_i w_i over the dual bases (Cox, Little &
+    Schenck, Thm 6.1.7), with edges along the -w_i: m_sigma is in Q with n
+    independent rows tight, and a vertex u, the one maximizer over Q of
+    some w = sum c_i v_i, c_i > 0, inside a cone sigma, has <w, u> <=
+    sum c_i phi_i = <w, m_sigma>.  The rays are primitive and distinct, so
+    the rows (v_i, phi_i) are Q's halfspaces.
     """
     if not fan.is_complete():
         raise Unbounded("fan is not complete; moment polytope would be unbounded")

@@ -551,16 +551,37 @@ def test_repeated_cone_is_malformed_exit1(tmp_path, capsys):
         assert "listed twice" in capsys.readouterr().err
 
 
+# the cone (0, 2) of two opposite rays does not span the plane
+DEGENERATE_CONE = {
+    "rays": [[1, 0], [0, 1], [-1, 0]],
+    "max_cones": [[0, 1], [1, 2], [0, 2]],
+    "phi": ["1", "1", "1"],
+}
+
+
 @pytest.mark.parametrize("payload, defect", [
     (dict(P2, max_cones=[[0], [1, 2], [0, 2]]), "maximal cone (0,) does not have 2 rays"),
     (dict(P2, max_cones=[[0, 1]]), "ray 2 lies in no maximal cone"),
-], ids=["one-ray-cone", "ray-in-no-cone"])
+    (DEGENERATE_CONE, "cone (0, 2) is degenerate (rays do not span)"),
+], ids=["one-ray-cone", "ray-in-no-cone", "degenerate-cone"])
 def test_a_structural_fan_defect_exits1_on_every_command(tmp_path, capsys, payload, defect):
     fan = write_fan(tmp_path, payload)
     for command in COMMAND_FLAGS:
         assert main([command, "--input", fan, "--out", str(tmp_path / command)]) == 1, command
         err = capsys.readouterr().err
         assert defect in err and "internal error" not in err
+
+
+def test_a_degenerate_cone_writes_no_file(tmp_path, capsys):
+    # refused when the fan is read, before any command's work; subdivide
+    # reports it in the words its convexity pass used before
+    fan = write_fan(tmp_path, DEGENERATE_CONE)
+    for command in COMMAND_FLAGS:
+        out = tmp_path / command
+        assert main([command, "--input", fan, "--out", str(out)]) == 1, command
+        assert capsys.readouterr() == (
+            "", "error: cone (0, 2) is degenerate (rays do not span)\n"), command
+        assert os.listdir(out) == [], command
 
 
 @pytest.mark.parametrize("payload", [

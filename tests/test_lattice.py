@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropmirror import lattice
@@ -36,6 +36,7 @@ from tropmirror.lattice import (
     interior_lattice_points,
     is_smooth,
     lattice_points,
+    mat_det,
     mat_rank,
     nullspace,
     polytope_from_bundle,
@@ -210,6 +211,16 @@ def test_fan_rejects_a_repeated_cone(rays, cones):
         Fan(rays, cones)
 
 
+def test_fan_rejects_a_degenerate_cone():
+    # a maximal cone whose rays do not span R^n is malformed input, refused
+    # when the fan is built: opposite rays in the plane, and three rays of
+    # rank 2 in R^3
+    with pytest.raises(MalformedFan, match=r"cone \(0, 2\) is degenerate \(rays do not span\)"):
+        Fan(((1, 0), (0, 1), (-1, 0)), ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(MalformedFan, match=r"cone \(0, 1, 2\) is degenerate"):
+        Fan(((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((0, 1, 2),))
+
+
 def test_moment_polytope_p2():
     q = p2_triangle()
     # frozen: Cramer oracle on the three tight pairs
@@ -336,16 +347,19 @@ def test_plane_completeness_matches_coverage_oracle():
                 cones = [(0,)]
         else:
             cones = rng.sample(pairs, rng.randint(1, len(pairs)))
-        # three defects of the data are malformed input, not an incomplete
+        # four defects of the data are malformed input, not an incomplete
         # fan: a repeated cone (two rays make the cycle (0, 1), (0, 1)), a
-        # cone of one ray (one ray makes the cycle (0,)), and a ray in no
-        # cone (a dropped or sampled cone can leave one out)
+        # cone of one ray (one ray makes the cycle (0,)), a ray in no cone
+        # (a dropped or sampled cone can leave one out), and a cone of two
+        # opposite rays, which do not span the plane
         if len(set(cones)) < len(cones):
             defect = "listed twice"
         elif any(len(c) != 2 for c in cones):
             defect = "does not have 2 rays"
         elif len({i for c in cones for i in c}) < len(rays):
             defect = "lies in no maximal cone"
+        elif any(oracle_det2(rays[i], rays[j]) == 0 for i, j in cones):
+            defect = "degenerate"
         else:
             defect = None
         if defect is not None:
@@ -686,6 +700,69 @@ def test_smoothness_invariance_relabel_and_unimodular():
                 for r in fan.rays
             )
             assert is_smooth(Fan(rays, fan.max_cones)) == base
+
+
+@st.composite
+def integer_cones(draw):
+    """Up to three cones of n rays each, n = 1..4, over a pool of primitive
+    integer rays, every pooled ray in some cone, and an integer phi.  The
+    cones may be unimodular, of any other nonzero determinant, or
+    degenerate."""
+    n = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n + 2))
+    pool = list(dict.fromkeys(tuple(x // math.gcd(*r) for x in r) for r in raw if any(r)))
+    assume(len(pool) >= n)
+    cones = draw(st.lists(st.permutations(range(len(pool))).map(lambda p: tuple(sorted(p[:n]))),
+                          min_size=1, max_size=3, unique=True))
+    used = sorted({i for c in cones for i in c})
+    rays = tuple(pool[i] for i in used)
+    phi = draw(st.lists(st.integers(-5, 5), min_size=len(rays), max_size=len(rays)))
+    return rays, tuple(tuple(used.index(i) for i in c) for c in cones), tuple(phi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_cones())
+@example((P2_FAN.rays, P2_FAN.max_cones, (1, 1, 1)))
+@example((P112_FAN.rays, P112_FAN.max_cones, (1, 1, 1)))  # a cone of determinant -2
+def test_dual_bases_match_the_solver_and_the_determinant(case):
+    # the readers of the dual bases against the solver and the determinant
+    # they replaced: the gradients m_sigma against a solve of
+    # <m, v_i> = phi_i on sigma's rays, and smoothness against det +-1
+    rays, cones, phi = case
+    dets = [mat_det([rays[i] for i in c]) for c in cones]
+    if 0 in dets:
+        with pytest.raises(MalformedFan, match="degenerate"):
+            Fan(rays, cones)
+        return
+    fan = Fan(rays, cones)
+    n = fan.n
+    for c, ws in zip(fan.max_cones, fan.duals):
+        assert [[dot(w, rays[j]) for j in c] for w in ws] == [
+            [int(i == j) for j in range(n)] for i in range(n)]
+    assert is_smooth(fan) == all(d in (1, -1) for d in dets)
+    _, _, grads = lattice._convexity(fan, phi)
+    assert grads == [solve_square([rays[i] for i in c], [phi[i] for i in c])
+                     for c in fan.max_cones]
+
+
+def test_fan_readers_solve_nothing_but_the_dual_bases(monkeypatch):
+    # completeness, smoothness and the gradients m_sigma read the dual bases
+    # the fan solved when it was built: with every other solver patched to
+    # raise, the fan, its moment polytope and its verdicts still come out
+    cases = [(P4_FAN.rays, P4_FAN.max_cones, (1,) * 5),
+             (P112_FAN.rays, P112_FAN.max_cones, (1, 1, 1))]
+    expected = [polytope_from_bundle(Fan(rays, cones), phi) for rays, cones, phi in cases]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a fan reader solved a system of its own")
+
+    for name in ("nullspace", "solve_square", "mat_det"):
+        monkeypatch.setattr(lattice, name, no_solve)
+    for (rays, cones, phi), q in zip(cases, expected):
+        fan = Fan(rays, cones)
+        assert polytope_from_bundle(fan, phi) == q
+        assert is_smooth(fan) == (fan.n == 4)  # P(1,1,2) has a cone of determinant -2
+        assert support_convexity(fan, phi) == ("strict", None)
 
 
 def test_solve_square_rejects_non_square_systems():
